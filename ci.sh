@@ -85,6 +85,13 @@ if "$FLEXSIM" prove pv --mutate > "$TMP/prove_mutate.txt" 2>&1; then
 fi
 grep -q 'cycle mismatch' "$TMP/prove_mutate.txt" \
     || { echo "FAIL: mutated prove run did not report the cycle mismatch"; exit 1; }
+# A 7x7 kernel widens the Systolic arrays past the 6x6 default; the
+# prover must size them by the same rule as the engine builder.
+printf '{"name":"stem7","input":{"maps":3,"size":37},"nodes":[{"id":"stem","op":"conv","m":8,"k":7,"stride":2},{"id":"c2","op":"conv","m":8,"k":3}]}' \
+    > "$TMP/stem7.ffnet"
+"$FLEXSIM" --json prove "$TMP/stem7.ffnet" > "$TMP/prove_stem7.json"
+grep -q '"pairs_proved": 4' "$TMP/prove_stem7.json" \
+    || { echo "FAIL: prove did not prove all 4 pairs of a 7x7-kernel net"; exit 1; }
 
 echo "==> flexsim workload frontend smoke (.ffnet end-to-end)"
 # A user-supplied network must ride the whole pipeline: registry

@@ -23,7 +23,7 @@ use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
 use flexsim_arch::Accelerator;
 use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
-use flexsim_model::{Acc32, ConvLayer, Tensor2, Tensor3};
+use flexsim_model::{Acc32, ConvLayer, Fx16, Tensor2, Tensor3};
 use flexsim_obs::attrib::StallCause;
 use flexsim_obs::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
 use flexsim_obs::spatial::{CellRect, HeatmapBuilder, SpatialHandle};
@@ -156,6 +156,11 @@ impl Systolic {
     }
 
     /// One (m, n) pipeline pass: streams the whole input map and drains.
+    ///
+    /// The chain is a ring buffer: advancing every accumulator one cell
+    /// moves the ring's origin back one slot instead of copying the
+    /// chain, so a cycle costs O(K²) (the PE cells) rather than
+    /// O((K−1)·W + K).
     fn pipeline_pass(
         &self,
         layer: &ConvLayer,
@@ -168,42 +173,52 @@ impl Systolic {
         let w = layer.input_size();
         let k = layer.k();
         let s = layer.s();
-        // Chain cells: index p = i*w + j; PE cells are those with
+        // Chain cells: logical index p = i*w + j, stored at ring slot
+        // (origin + p) mod chain_len; PE cells are those with
         // (j < k && i < k); others are FIFO slots. Length (k-1)*w + k.
         let chain_len = (k - 1) * w + k;
         let mut chain: Vec<Option<(Acc32, usize, usize)>> = vec![None; chain_len];
+        let mut origin = 0usize;
+        let slot = |origin: usize, p: usize| {
+            let q = origin + p;
+            if q >= chain_len {
+                q - chain_len
+            } else {
+                q
+            }
+        };
+        // Each PE cell's stationary synapse and logical chain position.
+        let cells: Vec<(Fx16, usize)> = (0..k)
+            .flat_map(|i| (0..k).map(move |j| (i, j)))
+            .map(|(i, j)| (kernels[(om, inm, i, j)], i * w + j))
+            .collect();
         let total_cycles = w * w + chain_len;
         for t in 0..total_cycles {
             let x = if t < w * w {
                 input[(inm, t / w, t % w)]
             } else {
-                flexsim_model::Fx16::ZERO
+                Fx16::ZERO
             };
             // Exit stage.
-            if let Some((acc, r, c)) = chain[chain_len - 1].take() {
+            if let Some((acc, r, c)) = chain[slot(origin, chain_len - 1)].take() {
                 if r < s && c < s {
                     acc_map[(r, c)] += acc;
                 }
             }
-            // Shift.
-            for p in (1..chain_len).rev() {
-                chain[p] = chain[p - 1].take();
-            }
+            // Shift: the emptied exit slot becomes cell 0.
+            origin = slot(origin, chain_len - 1);
             // Birth a new accumulator tagged with the current raster
             // position (only while streaming).
-            chain[0] = if t < w * w {
+            chain[origin] = if t < w * w {
                 Some((Acc32::ZERO, t / w, t % w))
             } else {
                 None
             };
             // Every PE cell accumulates k(i,j) * x into its resident
             // accumulator.
-            for i in 0..k {
-                for j in 0..k {
-                    let p = i * w + j;
-                    if let Some((acc, _, _)) = chain[p].as_mut() {
-                        acc.mac(kernels[(om, inm, i, j)], x);
-                    }
+            for &(weight, p) in &cells {
+                if let Some((acc, _, _)) = chain[slot(origin, p)].as_mut() {
+                    acc.mac(weight, x);
                 }
             }
         }

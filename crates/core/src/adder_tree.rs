@@ -37,32 +37,41 @@ pub struct Reduction {
 /// assert_eq!(r.depth, 2);
 /// ```
 pub fn reduce(products: &[Acc32]) -> Reduction {
-    if products.is_empty() {
+    reduce_in_place(&mut products.to_vec())
+}
+
+/// [`reduce`] without allocating: the tree's levels overwrite the
+/// front of `level`, whose contents are unspecified afterwards.
+///
+/// Each stage adds neighbours `(0,1), (2,3), …` and carries an odd last
+/// operand up unchanged — the hardware tree's wiring. Saturating adds
+/// are not associative, so this pairing order is part of the result.
+pub fn reduce_in_place(level: &mut [Acc32]) -> Reduction {
+    let mut len = level.len();
+    if len == 0 {
         return Reduction {
             sum: Acc32::ZERO,
             adds: 0,
             depth: 0,
         };
     }
-    let mut level: Vec<Acc32> = products.to_vec();
-    let mut adds = 0u64;
     let mut depth = 0u32;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        for pair in level.chunks(2) {
-            if pair.len() == 2 {
-                next.push(pair[0].saturating_add(pair[1]));
-                adds += 1;
-            } else {
-                next.push(pair[0]);
-            }
+    while len > 1 {
+        // Slot `p` is written only after slots `2p` and `2p + 1` are
+        // read, and later pairs read at or beyond `2p + 2`.
+        let pairs = len / 2;
+        for p in 0..pairs {
+            level[p] = level[2 * p].saturating_add(level[2 * p + 1]);
         }
-        level = next;
+        if len % 2 == 1 {
+            level[pairs] = level[len - 1];
+        }
+        len = len.div_ceil(2);
         depth += 1;
     }
     Reduction {
         sum: level[0],
-        adds,
+        adds: (level.len() - 1) as u64,
         depth,
     }
 }
@@ -140,6 +149,7 @@ impl RowPorts {
 mod tests {
     use super::*;
     use flexsim_model::Fx16;
+    use flexsim_testkit::{prop, prop_assert_eq};
 
     fn acc(v: f64) -> Acc32 {
         Acc32::from_fx16(Fx16::from_f64(v))
@@ -177,6 +187,70 @@ mod tests {
         let r = reduce(&products);
         assert_eq!(r.depth, 4);
         assert_eq!(r.sum.to_fx16().to_f64(), 4.0);
+    }
+
+    /// The tree as first written: one fresh `Vec` per level. Kept as
+    /// the oracle for [`reduce_in_place`].
+    fn reduce_by_levels(products: &[Acc32]) -> Reduction {
+        if products.is_empty() {
+            return Reduction {
+                sum: Acc32::ZERO,
+                adds: 0,
+                depth: 0,
+            };
+        }
+        let mut level: Vec<Acc32> = products.to_vec();
+        let mut adds = 0u64;
+        let mut depth = 0u32;
+        while level.len() > 1 {
+            let mut next = Vec::with_capacity(level.len().div_ceil(2));
+            for pair in level.chunks(2) {
+                if pair.len() == 2 {
+                    next.push(pair[0].saturating_add(pair[1]));
+                    adds += 1;
+                } else {
+                    next.push(pair[0]);
+                }
+            }
+            level = next;
+            depth += 1;
+        }
+        Reduction {
+            sum: level[0],
+            adds,
+            depth,
+        }
+    }
+
+    #[test]
+    fn in_place_tree_matches_the_level_by_level_tree_under_saturation() {
+        // Raw values are drawn near i32::MIN, near i32::MAX or anywhere,
+        // so most rows saturate somewhere and only the exact pairing
+        // order reproduces the sum.
+        let value = (0u8..=2, i32::MIN..=i32::MAX);
+        prop::check(
+            "in_place_tree_matches_the_level_by_level_tree_under_saturation",
+            2000,
+            prop::vec_of(value, 0..=40),
+            |raw| {
+                let products: Vec<Acc32> = raw
+                    .iter()
+                    .map(|&(edge, v)| {
+                        let near = v & 0xF_FFFF;
+                        Acc32::from_raw(match edge {
+                            0 => i32::MIN + near,
+                            1 => i32::MAX - near,
+                            _ => v,
+                        })
+                    })
+                    .collect();
+                let want = reduce_by_levels(&products);
+                let mut scratch = products.clone();
+                prop_assert_eq!(reduce_in_place(&mut scratch), want);
+                prop_assert_eq!(reduce(&products), want);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -28,7 +28,10 @@ pub const STORE_WORDS: usize = 128;
 /// ```
 #[derive(Clone, Debug)]
 pub struct LocalStore {
-    data: Vec<Fx16>,
+    /// Backing words; only the first `words` are addressable. Held
+    /// inline so a PE's stores sit beside its other state.
+    data: [Fx16; STORE_WORDS],
+    words: usize,
     reads: u64,
     writes: u64,
 }
@@ -46,7 +49,8 @@ impl LocalStore {
              (statically provable: flexcheck FXC01 ls-capacity)"
         );
         LocalStore {
-            data: vec![Fx16::ZERO; words],
+            data: [Fx16::ZERO; STORE_WORDS],
+            words,
             reads: 0,
             writes: 0,
         }
@@ -59,7 +63,7 @@ impl LocalStore {
 
     /// Capacity in words.
     pub fn capacity(&self) -> usize {
-        self.data.len()
+        self.words
     }
 
     /// Reads the word at `addr` (counted).
@@ -69,7 +73,7 @@ impl LocalStore {
     /// Panics if `addr` is out of range.
     pub fn read(&mut self, addr: usize) -> Fx16 {
         assert!(
-            addr < self.data.len(),
+            addr < self.words,
             "local store address out of range (statically provable: flexcheck FXC04 fsm-bounds)"
         );
         self.reads += 1;
@@ -83,7 +87,7 @@ impl LocalStore {
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: usize, value: Fx16) {
         assert!(
-            addr < self.data.len(),
+            addr < self.words,
             "local store address out of range (statically provable: flexcheck FXC04 fsm-bounds)"
         );
         self.writes += 1;

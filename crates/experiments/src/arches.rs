@@ -12,6 +12,7 @@
 //! }
 //! ```
 
+use flexcheck::params::systolic_array_k;
 use flexflow::FlexFlow;
 use flexsim_arch::Accelerator;
 use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
@@ -25,26 +26,6 @@ pub const ARCH_NAMES: [&str; 4] = ["Systolic", "2D-Mapping", "Tiling", "FlexFlow
 /// The paper's evaluation scale: every engine is a ~256-PE,
 /// 16×16-equivalent configuration (Section 6.1.1).
 const PAPER_SCALE: usize = 16;
-
-/// The baseline systolic array side: 6×6 arrays serve every Table 1
-/// workload whose kernels are ≤ 6 wide (the DC-CNN configuration).
-const BASE_ARRAY_K: usize = 6;
-
-/// The systolic array side for `net` — **the builder rule that
-/// replaces the old AlexNet string-compare**: a systolic array must be
-/// at least as wide as the widest convolution kernel it executes
-/// (row-stationary mapping needs `k` columns), so the side is
-/// `max(6, widest conv kernel)`. Among the Table 1 workloads only
-/// AlexNet (11×11 C1 kernels) exceeds the 6×6 default, reproducing
-/// Section 6.1.1's "11×11 arrays for AlexNet" special case without
-/// naming any workload.
-fn systolic_array_k(net: &Network) -> usize {
-    net.conv_layers()
-        .map(flexsim_model::ConvLayer::k)
-        .max()
-        .unwrap_or(BASE_ARRAY_K)
-        .max(BASE_ARRAY_K)
-}
 
 /// The four architectures configured for one workload, in
 /// [`ARCH_NAMES`] order. Build one with [`ArchSet::builder`].

@@ -87,7 +87,7 @@ fn sweep_units() -> Vec<LintUnit> {
     let _flexcheck = telemetry::phase(telemetry::Phase::Flexcheck);
     let mut units = Vec::new();
     for net in workloads::all() {
-        for arch in ArchParams::paper_suite(net.name()) {
+        for arch in ArchParams::paper_suite(&net) {
             units.push(LintUnit {
                 workload: net.name().to_owned(),
                 arch: arch.kind.name(),

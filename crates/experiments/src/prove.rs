@@ -64,7 +64,7 @@ impl ProveOutcome {
 /// predicted ledger by one cycle — the CI handle proving the
 /// comparison has teeth.
 pub fn prove_pair(net: &Network, arch_idx: usize, mutate: bool) -> ProveOutcome {
-    let suite = ArchParams::paper_suite(net.name());
+    let suite = ArchParams::paper_suite(net);
     let geom = EngineGeometry::from_arch(&suite[arch_idx], D);
     let mut predicted = flexcheck::predicted_ledgers(&geom, net);
     if mutate {
@@ -257,6 +257,20 @@ mod tests {
         let result = report(&outcomes);
         assert!(result.to_string().contains("proved"));
         assert!(!result.to_string().contains("MISMATCH"));
+    }
+
+    #[test]
+    fn a_7x7_stem_proves_on_every_architecture() {
+        // The prover and the engine builder must size Systolic by the
+        // same widest-kernel rule: 7×7 arrays here, not the 6×6 default.
+        let net = Network::builder("stem7")
+            .conv(flexsim_model::ConvLayer::new("stem", 8, 3, 16, 7).with_stride(2))
+            .conv(flexsim_model::ConvLayer::new("c2", 8, 8, 14, 3))
+            .build();
+        for idx in 0..ARCH_NAMES.len() {
+            let o = prove_pair(&net, idx, false);
+            assert!(o.proved(), "{}: {}", o.arch, flexcheck::render(&o.diags));
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! provokes each capacity rule.
 
 use flexflow::local_store::STORE_WORDS;
+use flexsim_model::Network;
 
 /// Which of the four evaluated architectures a parameter set describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -101,18 +102,37 @@ impl ArchParams {
         }
     }
 
-    /// The paper's four Section 6.1.1 configurations for a workload:
-    /// Systolic (11×11 arrays for AlexNet, 6×6 otherwise), 16×16
-    /// 2D-Mapping, ⟨16,16⟩ Tiling, 16×16 FlexFlow.
-    pub fn paper_suite(net_name: &str) -> [ArchParams; 4] {
-        let array_k = if net_name == "AlexNet" { 11 } else { 6 };
+    /// The paper's four Section 6.1.1 configurations for `net`:
+    /// Systolic arrays sized by [`systolic_array_k`], 16×16 2D-Mapping,
+    /// ⟨16,16⟩ Tiling, 16×16 FlexFlow.
+    pub fn paper_suite(net: &Network) -> [ArchParams; 4] {
         [
-            ArchParams::systolic(array_k),
+            ArchParams::systolic(systolic_array_k(net)),
             ArchParams::mapping2d(16),
             ArchParams::tiling(16),
             ArchParams::flexflow_paper(),
         ]
     }
+}
+
+/// The baseline systolic array side: 6×6 arrays serve every Table 1
+/// workload whose kernels are ≤ 6 wide (the DC-CNN configuration).
+const BASE_ARRAY_K: usize = 6;
+
+/// The systolic array side for `net`: a systolic array must be at least
+/// as wide as the widest convolution kernel it executes (row-stationary
+/// mapping needs `k` columns), so the side is `max(6, widest conv
+/// kernel)`. Among the Table 1 workloads only AlexNet (11×11 C1
+/// kernels) exceeds the 6×6 default, which reproduces Section 6.1.1's
+/// "11×11 arrays for AlexNet" without naming any workload. The
+/// experiments' engine builder and every static check size Systolic by
+/// this one rule.
+pub fn systolic_array_k(net: &Network) -> usize {
+    net.conv_layers()
+        .map(flexsim_model::ConvLayer::k)
+        .max()
+        .unwrap_or(BASE_ARRAY_K)
+        .max(BASE_ARRAY_K)
 }
 
 #[cfg(test)]
@@ -129,9 +149,10 @@ mod tests {
 
     #[test]
     fn alexnet_gets_11x11_systolic() {
-        let suite = ArchParams::paper_suite("AlexNet");
+        use flexsim_model::workloads;
+        let suite = ArchParams::paper_suite(&workloads::alexnet());
         assert_eq!(suite[0].array_k, 11);
-        let suite = ArchParams::paper_suite("LeNet-5");
+        let suite = ArchParams::paper_suite(&workloads::lenet5());
         assert_eq!(suite[0].array_k, 6);
         assert_eq!(suite[3].kind, ArchKind::FlexFlow);
     }

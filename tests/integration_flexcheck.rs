@@ -83,7 +83,7 @@ fn assert_only(diags: &[flexcheck::Diagnostic], rule: RuleId) {
 #[test]
 fn every_workload_is_error_free_on_all_four_architectures() {
     for net in workloads::all() {
-        for arch in ArchParams::paper_suite(net.name()) {
+        for arch in ArchParams::paper_suite(&net) {
             let diags = check_network(&net, &arch);
             assert!(
                 !has_errors(&diags),
@@ -369,7 +369,7 @@ fn fxc10_holds_on_all_table1_pairs() {
     // The prover's clean sweep: on every (workload, architecture) pair
     // the closed-form prediction equals the recorded run exactly.
     for net in workloads::all() {
-        let suite = ArchParams::paper_suite(net.name());
+        let suite = ArchParams::paper_suite(&net);
         for idx in 0..ARCH_NAMES.len() {
             let geom = EngineGeometry::from_arch(&suite[idx], 16);
             let predicted = predicted_ledgers(&geom, &net);
