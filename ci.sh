@@ -119,6 +119,21 @@ fi
 grep -q 'unknown field' "$TMP/bad_run.txt" \
     || { echo "FAIL: malformed .ffnet did not produce an actionable diagnostic"; exit 1; }
 
+echo "==> flexsim --trace run (Chrome trace of all four timelines; other subcommands refuse --trace)"
+"$FLEXSIM" --trace "$TMP/t.json" run "$FFNET" --json > /dev/null
+python3 - "$TMP/t.json" <<'PY' || { echo "FAIL: run --trace did not write four cycle timelines"; exit 1; }
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+pids = {e["pid"]: e["args"]["name"] for e in events if e.get("name") == "process_name"}
+timed = {pids.get(e["pid"]) for e in events if e.get("ph") == "X"}
+missing = {"sim:" + a for a in ("Systolic", "2D-Mapping", "Tiling", "FlexFlow")} - timed
+sys.exit("missing cycle timelines: %s" % sorted(missing) if missing else 0)
+PY
+rc=0
+"$FLEXSIM" --trace "$TMP/x.json" prove lenet > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] && [ ! -e "$TMP/x.json" ] \
+    || { echo "FAIL: prove accepted --trace (exit $rc)"; exit 1; }
+
 echo "==> flexsim heatmap smoke (FXC13 spatial exactness; --jobs byte-identity)"
 # The run itself enforces flexcheck FXC13: every per-PE heatmap cell
 # sum must equal the loss ledger exactly, per cause, or exit goes 1.

@@ -1,16 +1,21 @@
 //! Micro-benchmarks of the simulation kernels themselves: the golden
 //! reference convolution, the cycle-stepped FlexFlow PE array, the
-//! baselines' functional pipelines, the factor search, and the analytic
-//! schedule. These gate the cost of the repository's own machinery (not
+//! baselines' functional pipelines, the factor search, the analytic
+//! schedule, and FlexFlow's recorded cycle timeline against its plain
+//! cost model on a large layer. These gate the cost of the repository's own machinery (not
 //! a paper figure).
 
 use flexflow::analytic::schedule_default;
 use flexflow::array::PeArray;
+use flexflow::FlexFlow;
+use flexsim_arch::Accelerator;
 use flexsim_baselines::{Mapping2d, Systolic, TilingArray};
 use flexsim_dataflow::search::{best_unroll, plan_network};
-use flexsim_model::{reference, workloads};
+use flexsim_model::{reference, workloads, ConvLayer};
+use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
 use flexsim_testkit::bench::Harness;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn bench(c: &mut Harness) {
@@ -61,6 +66,24 @@ fn bench(c: &mut Harness) {
 
     group.bench_function("schedule_lenet_c1", |b| {
         b.iter(|| black_box(schedule_default(&c1, choice.unroll, 16)));
+    });
+
+    // Recording cost must not grow with layer size: the same large
+    // layer with and without a cycle recorder attached.
+    let large = ConvLayer::new("L", 128, 128, 510, 3);
+    group.bench_function("flexflow_record_plain_m128_s510", |b| {
+        let mut ff = FlexFlow::paper_config();
+        b.iter(|| black_box(ff.run_conv(&large)));
+    });
+
+    group.bench_function("flexflow_record_recorded_m128_s510", |b| {
+        let mut ff = FlexFlow::paper_config();
+        b.iter(|| {
+            let rec = Arc::new(CycleRecorder::new());
+            ff.attach_sink(SinkHandle::new(rec.clone()));
+            black_box(ff.run_conv(&large));
+            black_box(rec.take())
+        });
     });
 
     group.finish();

@@ -22,7 +22,7 @@ use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{mirror_layer, EventCounts, LayerResult, RunSummary};
 use flexsim_arch::Accelerator;
 use flexsim_dataflow::search::{best_unroll, plan_network};
-use flexsim_dataflow::{TileIter, Unroll};
+use flexsim_dataflow::{MacsPrefix, Unroll};
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{ConvLayer, Network, Tensor3};
 use flexsim_obs::attrib::StallCause;
@@ -95,10 +95,15 @@ impl FlexFlow {
     }
 
     /// Emits the layer's cycle-domain timeline into the attached sink:
-    /// one pipeline fill, one pass per row-batch (MACs attributed from
-    /// the tiled schedule), and the per-batch partial-sum spill stalls.
-    /// Coalesced so long layers stay bounded; cycle and MAC totals are
+    /// one pipeline fill, one pass per row-batch (`chunks` cycles, MACs
+    /// those of the batch's `chunks` consecutive tiles in [`TileIter`]
+    /// order), and the per-batch partial-sum spill stalls. Each
+    /// [`Coalescer`] flush group of row-batches is emitted in closed
+    /// form, its MACs a difference of two [`MacsPrefix`] values, so
+    /// the cost is O(events), not O(tiles); cycle and MAC totals are
     /// exact against the analytic schedule.
+    ///
+    /// [`TileIter`]: flexsim_dataflow::TileIter
     ///
     /// Loss attribution: the one-off fill is
     /// [`StallCause::PipelineFill`] (operand preload + adder-tree depth
@@ -115,34 +120,24 @@ impl FlexFlow {
             layer.name(),
             self.pe_count() as u32,
         ));
+        let fill = CycleEventKind::Stall(StallCause::PipelineFill);
+        let pass = CycleEventKind::Pass(StallCause::MappingResidueIdle);
+        let spill = CycleEventKind::Stall(StallCause::PsumSpillRoundTrip);
         let mut co = Coalescer::new(&self.sink, sch.row_batches);
-        let mut tiles = TileIter::new(layer, sch.unroll);
-        for batch in 0..sch.row_batches {
-            if batch == 0 {
-                co.push(
-                    CycleEventKind::Stall(StallCause::PipelineFill),
-                    PIPELINE_FILL_CYCLES,
-                    0,
-                );
+        let prefix = MacsPrefix::new(layer, sch.unroll);
+        let macs_at_ends = prefix.strided(co.group_steps() * sch.chunks);
+        let mut macs_before = 0;
+        for (batches, macs_after) in co.groups().zip(macs_at_ends) {
+            if batches.start == 0 {
+                co.push(fill, PIPELINE_FILL_CYCLES, 0);
             }
-            let batch_macs: u64 = tiles
-                .by_ref()
-                .take(sch.chunks as usize)
-                .map(|t| t.macs())
-                .sum();
-            co.push(
-                CycleEventKind::Pass(StallCause::MappingResidueIdle),
-                sch.chunks,
-                batch_macs,
-            );
+            let n = batches.end - batches.start;
+            co.push(pass, n * sch.chunks, macs_after - macs_before);
+            macs_before = macs_after;
             if sch.segments > 1 {
-                co.push(
-                    CycleEventKind::Stall(StallCause::PsumSpillRoundTrip),
-                    (sch.segments - 1) * SEGMENT_STALL_CYCLES,
-                    0,
-                );
+                co.push(spill, n * (sch.segments - 1) * SEGMENT_STALL_CYCLES, 0);
             }
-            co.step();
+            co.end_group();
         }
         let totals = co.finish();
         debug_assert_eq!(
@@ -515,7 +510,11 @@ pub struct ExecutionTrace {
 mod tests {
     use super::*;
     use crate::compiler::Compiler;
+    use flexsim_dataflow::TileIter;
     use flexsim_model::{reference, workloads};
+    use flexsim_obs::cycles::{CycleEvent, CycleRecorder, MAX_EVENTS_PER_LAYER};
+    use flexsim_testkit::prop;
+    use std::sync::Arc;
 
     #[test]
     fn paper_area_reproduced() {
@@ -603,6 +602,138 @@ mod tests {
             // Trace-derived utilization equals the analytic one.
             assert!((tl.occupancy().utilization() - lr.utilization()).abs() < 1e-9);
         }
+    }
+
+    /// The FlexFlow timeline as the per-tile walking emitter produced
+    /// it: one coalescer step per row-batch, its MACs summed over the
+    /// batch's `chunks` consecutive tiles.
+    fn walked_timeline(layer: &ConvLayer, sch: &Schedule) -> Vec<CycleEvent> {
+        let rec = Arc::new(CycleRecorder::new());
+        let sink = SinkHandle::new(rec.clone());
+        sink.begin_layer(&LayerCtx::new("FlexFlow", layer.name(), 256));
+        let mut co = Coalescer::new(&sink, sch.row_batches);
+        let mut tiles = TileIter::new(layer, sch.unroll);
+        for batch in 0..sch.row_batches {
+            if batch == 0 {
+                co.push(
+                    CycleEventKind::Stall(StallCause::PipelineFill),
+                    PIPELINE_FILL_CYCLES,
+                    0,
+                );
+            }
+            let macs = tiles
+                .by_ref()
+                .take(sch.chunks as usize)
+                .map(|t| t.macs())
+                .sum();
+            co.push(
+                CycleEventKind::Pass(StallCause::MappingResidueIdle),
+                sch.chunks,
+                macs,
+            );
+            if sch.segments > 1 {
+                co.push(
+                    CycleEventKind::Stall(StallCause::PsumSpillRoundTrip),
+                    (sch.segments - 1) * SEGMENT_STALL_CYCLES,
+                    0,
+                );
+            }
+            co.step();
+        }
+        co.finish();
+        sink.end_layer();
+        rec.take().remove(0).events
+    }
+
+    /// Records `layer` under `u` on a `d×d` FlexFlow and checks its
+    /// timeline event by event against [`walked_timeline`]; returns the
+    /// schedule and the event count.
+    fn assert_timeline_pinned(layer: &ConvLayer, u: Unroll, d: usize) -> (Schedule, usize) {
+        let rec = Arc::new(CycleRecorder::new());
+        let mut ff = FlexFlow::new(d);
+        ff.attach_sink(SinkHandle::new(rec.clone()));
+        ff.run_conv_with(layer, u);
+        let emitted = rec.take().remove(0).events;
+        let sch = schedule_default(layer, u, d);
+        assert_eq!(
+            emitted,
+            walked_timeline(layer, &sch),
+            "{} under {u}",
+            layer.name()
+        );
+        (sch, emitted.len())
+    }
+
+    #[test]
+    fn timeline_matches_the_tile_walk_on_table1_layers() {
+        for net in workloads::all() {
+            for (layer, choice) in net.conv_layers().zip(plan_network(&net, 16)) {
+                assert_timeline_pinned(layer, choice.unroll, 16);
+            }
+        }
+    }
+
+    #[test]
+    fn timeline_matches_the_tile_walk_on_a_segmented_ragged_layer() {
+        // AlexNet C5 under a thin unroll: 768 chunks overflow the local
+        // store (psum spills fire), and its 2496 row-batches leave a
+        // ragged last flush group of 6.
+        let layer = ConvLayer::new("C5", 192, 256, 13, 3).with_input_size(13);
+        let (sch, events) = assert_timeline_pinned(&layer, Unroll::new(1, 1, 1, 13, 1, 3), 16);
+        assert!(sch.segments > 1);
+        let every = sch.row_batches.div_ceil(MAX_EVENTS_PER_LAYER as u64);
+        assert_ne!(sch.row_batches % every, 0);
+        assert_eq!(events, 1 + 2 * sch.row_batches.div_ceil(every) as usize);
+    }
+
+    #[test]
+    fn timeline_matches_the_tile_walk_on_random_layers() {
+        // A 64×64 engine fits any factors up to 4, so every random
+        // unroll is legal; the extents make ragged edges and row-batch
+        // counts on both sides of the event cap.
+        prop::check(
+            "timeline_matches_the_tile_walk_on_random_layers",
+            48,
+            (
+                (1usize..=24, 1usize..=24, 1usize..=20, 1usize..=5),
+                (
+                    1usize..=4,
+                    1usize..=4,
+                    1usize..=4,
+                    1usize..=4,
+                    1usize..=4,
+                    1usize..=4,
+                ),
+            ),
+            |&((m, n, s, k), (tm, tn, tr, tc, ti, tj))| {
+                let layer = ConvLayer::new("R", m, n, s, k);
+                assert_timeline_pinned(&layer, Unroll::new(tm, tn, tr, tc, ti, tj), 64);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn large_layer_records_a_bounded_exact_timeline() {
+        // The M=N=128, S=510, K=3 layer of the kernels bench: recording
+        // stays within the coalescer's event cap and matches the
+        // schedule's totals exactly.
+        let layer = ConvLayer::new("L", 128, 128, 510, 3);
+        let rec = Arc::new(CycleRecorder::new());
+        let mut ff = FlexFlow::paper_config();
+        ff.attach_sink(SinkHandle::new(rec.clone()));
+        let r = ff.run_conv(&layer);
+        let timelines = rec.take();
+        assert_eq!(timelines.len(), 1);
+        let tl = &timelines[0];
+        assert!(
+            tl.events.len() <= 2 * MAX_EVENTS_PER_LAYER + 2,
+            "{}",
+            tl.events.len()
+        );
+        assert_eq!(tl.total_cycles(), r.cycles);
+        assert_eq!(tl.macs(), r.macs);
+        assert_eq!(tl.macs(), layer.macs());
     }
 
     #[test]

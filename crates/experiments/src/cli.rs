@@ -122,7 +122,8 @@ options:
   --out DIR       also write one .txt + .json per experiment into DIR
   --trace FILE    write a Chrome trace-event JSON file (host spans +
                   cycle-domain timelines + metrics), loadable in
-                  Perfetto or chrome://tracing
+                  Perfetto or chrome://tracing; experiment runs and
+                  `run` only, any other subcommand refuses it
   --telemetry PATH collect host-side runtime telemetry during any run
                   and write the snapshot to PATH (byte-stable JSON)
                   plus PATH.prom (Prometheus text format); flight
@@ -206,8 +207,9 @@ pub struct Cli {
 ///
 /// Returns a one-line message for unknown flags, for `--out` /
 /// `--trace` / `--jobs` missing their value (a following argument that
-/// itself looks like a flag does not count as a value), and for a
-/// `--jobs` value that is not a positive integer.
+/// itself looks like a flag does not count as a value), for a
+/// `--jobs` value that is not a positive integer, and for `--trace`
+/// given to a subcommand other than `run`.
 pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
     let mut cli = Cli::default();
     let mut iter = args.iter().map(AsRef::as_ref);
@@ -264,7 +266,41 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
             id => cli.ids.push(id.to_owned()),
         }
     }
+    if let Some(cmd) = cli.subcommand().filter(|&cmd| cmd != "run") {
+        if cli.trace.is_some() {
+            return Err(format!(
+                "--trace is not supported by `{cmd}` (only `run` and experiment runs write a trace)"
+            ));
+        }
+    }
     Ok(cli)
+}
+
+impl Cli {
+    /// The subcommand that replaces the experiment run, as spelled on
+    /// the command line, in `flexsim`'s dispatch order; `None` for an
+    /// experiment run.
+    pub fn subcommand(&self) -> Option<&'static str> {
+        [
+            (self.lint, "lint"),
+            (self.stats, "stats"),
+            (self.run, "run"),
+            (self.workloads, "workloads"),
+            (self.heatmap, "heatmap"),
+            (self.bench, "bench"),
+            (self.tune, "tune"),
+            (self.prove, "prove"),
+            (self.profiles_one_workload(), "profile"),
+        ]
+        .into_iter()
+        .find_map(|(on, cmd)| on.then_some(cmd))
+    }
+
+    /// `flexsim profile WORKLOAD`: the one experiment taking an
+    /// argument, so it bypasses the plain registry dispatch.
+    pub fn profiles_one_workload(&self) -> bool {
+        self.ids.first().map(String::as_str) == Some("profile") && self.ids.len() == 2
+    }
 }
 
 /// Pulls the value for `flag` off the iterator, refusing flag-shaped
@@ -318,6 +354,19 @@ mod tests {
         let cli = p(&["--trace", "out.json", "all"]).unwrap();
         assert_eq!(cli.trace.as_deref(), Some("out.json"));
         assert_eq!(cli.ids, ["all"]);
+    }
+
+    #[test]
+    fn trace_is_refused_by_subcommands_but_not_by_run_or_experiments() {
+        // `profile` with a workload is the subcommand; without one it is
+        // the registry experiment. tests/integration_obs.rs drives every
+        // other refusal through the binary.
+        let err = p(&["--trace", "t.json", "profile", "lenet"]).unwrap_err();
+        assert!(err.contains("`profile`"), "{err}");
+        for ok in [&["run", "lenet"][..], &["profile"], &["fig15"], &[]] {
+            let cli = p(&[&["--trace", "t.json"][..], ok].concat()).unwrap();
+            assert_eq!(cli.trace.as_deref(), Some("t.json"), "{ok:?}");
+        }
     }
 
     #[test]

@@ -159,14 +159,14 @@ impl CycleSink for CollectorSink {
             });
     }
 
-    fn emit(&self, ev: &CycleEvent) {
+    fn emit(&self, evs: &[CycleEvent]) {
         if let Some(current) = self
             .open
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .last_mut()
         {
-            current.events.push(*ev);
+            current.events.extend_from_slice(evs);
         }
     }
 
@@ -588,14 +588,14 @@ mod tests {
                     |tctx, layer: &str| {
                         let sink = tctx.sink();
                         sink.begin_layer(&LayerCtx::new("TestArch", layer, 4));
-                        sink.emit(&CycleEvent::new(
+                        sink.emit(&[CycleEvent::new(
                             flexsim_obs::cycles::CycleEventKind::Pass(
                                 flexsim_obs::attrib::StallCause::MappingResidueIdle,
                             ),
                             0,
                             10,
                             40,
-                        ));
+                        )]);
                         sink.end_layer();
                     },
                 );

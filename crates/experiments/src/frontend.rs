@@ -20,7 +20,7 @@ use crate::report::{pct, Table};
 use flexsim_model::registry::{param_count, WorkloadSource};
 use flexsim_model::{Network, WorkloadRegistry};
 use flexsim_obs::attrib::{ledgers, StallCause};
-use flexsim_obs::cycles::{CycleRecorder, SinkHandle};
+use flexsim_obs::cycles::{CycleRecorder, LayerTimeline, SinkHandle};
 use flexsim_testkit::json::Json;
 use std::sync::Arc;
 
@@ -35,20 +35,22 @@ pub fn registry() -> WorkloadRegistry {
 
 /// `flexsim run WORKLOAD|PATH.ffnet`: one workload on all four
 /// architectures. Returns the process exit code (0 ok, 1 on a ledger
-/// exactness failure, 2 on a resolution/usage error).
-pub fn run(cli: &Cli) -> i32 {
+/// exactness failure, 2 on a resolution/usage error) and the recorded
+/// layer timelines, architecture by architecture (for `--trace`).
+pub fn run(cli: &Cli) -> (i32, Vec<LayerTimeline>) {
     let [reference] = cli.ids.as_slice() else {
         eprintln!("flexsim: run takes exactly one workload name or .ffnet path");
-        return 2;
+        return (2, Vec::new());
     };
     let net = match registry().resolve(reference) {
         Ok(net) => net,
         Err(e) => {
             eprintln!("flexsim: {e}");
-            return 2;
+            return (2, Vec::new());
         }
     };
     let mut rows = Vec::new();
+    let mut timelines = Vec::new();
     for (idx, &arch) in ARCH_NAMES.iter().enumerate() {
         let rec = Arc::new(CycleRecorder::new());
         let mut acc = ArchSet::builder()
@@ -58,7 +60,8 @@ pub fn run(cli: &Cli) -> i32 {
         let mut busy = 0u64;
         let mut lost = 0u64;
         let mut exact = true;
-        for ledger in ledgers(&rec.take()) {
+        let recorded = rec.take();
+        for ledger in ledgers(&recorded) {
             let diags = flexcheck::check_ledgers(std::slice::from_ref(&ledger));
             if !diags.is_empty() {
                 eprintln!(
@@ -83,6 +86,7 @@ pub fn run(cli: &Cli) -> i32 {
             lost_pe_cycles: lost,
             exact,
         });
+        timelines.extend(recorded);
     }
     let failed = rows.iter().any(|r| !r.exact);
     if cli.json {
@@ -92,7 +96,7 @@ pub fn run(cli: &Cli) -> i32 {
     } else {
         print!("{}", run_text(&net, &rows));
     }
-    i32::from(failed)
+    (i32::from(failed), timelines)
 }
 
 /// One architecture's measurements for the `run` report.

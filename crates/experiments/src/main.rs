@@ -12,6 +12,7 @@
 //! flexsim --list                 # available experiment ids
 //! flexsim run lenet              # one workload on all four architectures
 //! flexsim run net.ffnet          # ... same, from a user-supplied .ffnet file
+//! flexsim --trace t.json run lenet # ... plus a Chrome trace of all four timelines
 //! flexsim workloads              # list every resolvable workload
 //! flexsim heatmap lenet          # per-PE heatmaps + bank watermarks (FXC13-gated)
 //! flexsim heatmap pv --svg       # ... as an SVG document on stdout
@@ -40,6 +41,7 @@ use flexsim_experiments::cli::{self, Cli, USAGE};
 use flexsim_experiments::{
     experiment_ids, find, run_suite, Experiment, ExperimentResult, SuiteConfig, REGISTRY,
 };
+use flexsim_obs::cycles::LayerTimeline;
 use flexsim_obs::telemetry::{self, Phase};
 use flexsim_obs::{chrome, metrics, span};
 
@@ -104,8 +106,22 @@ fn main() {
         write_telemetry(&cli);
         std::process::exit(i32::from(failures > 0));
     }
+    // Host spans are opt-in; without `--trace` recording stays disabled
+    // and costs nothing. The parser has refused `--trace` for every
+    // subcommand but `run`.
+    if cli.trace.is_some() {
+        span::install_recorder();
+        // The main thread doubles as pool worker 0; spawned workers
+        // label themselves `flexsim-pool-N`.
+        span::set_thread_label("flexsim-main (pool worker 0)");
+    }
     if cli.run {
-        let code = flexsim_experiments::frontend::run(&cli);
+        let (code, timelines) = flexsim_experiments::frontend::run(&cli);
+        // A usage error (exit 2) simulated nothing worth a trace.
+        if let Some(file) = cli.trace.as_ref().filter(|_| code != 2) {
+            let _export = telemetry::phase(Phase::Export);
+            write_trace(file, &timelines);
+        }
         write_telemetry(&cli);
         std::process::exit(code);
     }
@@ -134,23 +150,14 @@ fn main() {
         write_telemetry(&cli);
         std::process::exit(code);
     }
-    // `flexsim profile <workload>` — the one experiment taking an
-    // argument, so it bypasses the plain registry dispatch.
-    if cli.ids.first().map(String::as_str) == Some("profile") && cli.ids.len() == 2 {
+    if cli.profiles_one_workload() {
         profile_workload(&cli);
         write_telemetry(&cli);
         return;
     }
 
-    // Host spans are opt-in; without `--trace` recording stays disabled
-    // and costs nothing. Cycle events flow through per-task recorders
-    // inside the suite (no process-global sink involved).
-    if cli.trace.is_some() {
-        span::install_recorder();
-        // The main thread doubles as pool worker 0; spawned workers
-        // label themselves `flexsim-pool-N`.
-        span::set_thread_label("flexsim-main (pool worker 0)");
-    }
+    // Cycle events flow through per-task recorders inside the suite
+    // (no process-global sink involved).
 
     let config = SuiteConfig {
         jobs: cli.jobs.unwrap_or_else(flexsim_pool::available_parallelism),
@@ -165,30 +172,7 @@ fn main() {
     {
         let _export = telemetry::phase(Phase::Export);
         if let Some(file) = &cli.trace {
-            let spans = span::take_records();
-            let snapshot = metrics::global().snapshot();
-            let labels = span::thread_labels();
-            let written = std::fs::File::create(file).and_then(|f| {
-                let mut sink = std::io::BufWriter::new(f);
-                chrome::write_chrome_trace(
-                    &mut sink,
-                    &spans,
-                    &report.timelines,
-                    &snapshot,
-                    &labels,
-                )?;
-                sink.into_inner()
-                    .map_err(std::io::IntoInnerError::into_error)
-            });
-            if let Err(e) = written {
-                eprintln!("cannot write trace {file}: {e}");
-                std::process::exit(2);
-            }
-            eprintln!(
-                "wrote {file}: {} host spans, {} layer timelines",
-                spans.len(),
-                report.timelines.len()
-            );
+            write_trace(file, &report.timelines);
         }
         if cli.metrics {
             eprint!("{}", metrics::global().snapshot().dump());
@@ -205,6 +189,30 @@ fn main() {
         }
         std::process::exit(1);
     }
+}
+
+/// Streams the `--trace` Chrome trace: the recorded host spans, the
+/// given cycle timelines and the metrics registry (exit 2 on an I/O
+/// error).
+fn write_trace(file: &str, timelines: &[LayerTimeline]) {
+    let spans = span::take_records();
+    let snapshot = metrics::global().snapshot();
+    let labels = span::thread_labels();
+    let written = std::fs::File::create(file).and_then(|f| {
+        let mut sink = std::io::BufWriter::new(f);
+        chrome::write_chrome_trace(&mut sink, &spans, timelines, &snapshot, &labels)?;
+        sink.into_inner()
+            .map_err(std::io::IntoInnerError::into_error)
+    });
+    if let Err(e) = written {
+        eprintln!("cannot write trace {file}: {e}");
+        std::process::exit(2);
+    }
+    eprintln!(
+        "wrote {file}: {} host spans, {} layer timelines",
+        spans.len(),
+        timelines.len()
+    );
 }
 
 /// Writes the `--telemetry` snapshot: byte-stable JSON at the given

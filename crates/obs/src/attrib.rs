@@ -85,7 +85,7 @@ impl StallCause {
     }
 
     /// Index into [`StallCause::ALL`].
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         match self {
             StallCause::PipelineFill => 0,
             StallCause::PipelineDrain => 1,

@@ -12,13 +12,14 @@
 //!
 //! [`CycleRecorder`] collects events into per-layer timelines for
 //! occupancy analysis and Chrome trace export. [`Coalescer`] merges
-//! fine-grained emission (one event per tile/pass) down to a bounded
-//! number of events per layer while preserving exact cycle and MAC
-//! totals.
+//! fine-grained emission (one event per tile/pass, or one closed-form
+//! total per flush group) down to a bounded number of events per layer
+//! while preserving exact cycle and MAC totals.
 
 use crate::attrib::StallCause;
 use crate::occupancy::OccupancyTimeline;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Identity of the layer a sink is currently receiving events for.
@@ -95,7 +96,7 @@ impl CycleEventKind {
 
     /// Dense index in `[0, CycleEventKind::COUNT)` — passes first, then
     /// stalls, cause order within each.
-    pub fn index(&self) -> usize {
+    pub const fn index(&self) -> usize {
         match self {
             CycleEventKind::Pass(cause) => cause.index(),
             CycleEventKind::Stall(cause) => StallCause::COUNT + cause.index(),
@@ -147,8 +148,10 @@ pub trait CycleSink: Send + Sync {
     }
     /// A layer's event stream is starting.
     fn begin_layer(&self, _ctx: &LayerCtx) {}
-    /// One event within the current layer.
-    fn emit(&self, _ev: &CycleEvent) {}
+    /// Consecutive events within the current layer, in order (a
+    /// coalesced layer arrives in one call, so a recording sink takes
+    /// one lock per layer).
+    fn emit(&self, _evs: &[CycleEvent]) {}
     /// The current layer's event stream is complete.
     fn end_layer(&self) {}
 }
@@ -198,9 +201,9 @@ impl SinkHandle {
     }
 
     /// Forwards to the sink, if attached.
-    pub fn emit(&self, ev: &CycleEvent) {
+    pub fn emit(&self, evs: &[CycleEvent]) {
         if let Some(sink) = &self.0 {
-            sink.emit(ev);
+            sink.emit(evs);
         }
     }
 
@@ -244,8 +247,8 @@ impl CycleSink for ExperimentTag {
             .begin_layer(&ctx.clone().for_experiment(self.experiment.clone()));
     }
 
-    fn emit(&self, ev: &CycleEvent) {
-        self.inner.emit(ev);
+    fn emit(&self, evs: &[CycleEvent]) {
+        self.inner.emit(evs);
     }
 
     fn end_layer(&self) {
@@ -347,9 +350,9 @@ impl CycleSink for CycleRecorder {
         });
     }
 
-    fn emit(&self, ev: &CycleEvent) {
+    fn emit(&self, evs: &[CycleEvent]) {
         if let Some(current) = self.lock().open.last_mut() {
-            current.events.push(*ev);
+            current.events.extend_from_slice(evs);
         }
     }
 
@@ -379,24 +382,33 @@ pub struct CoalescerTotals {
 /// Merges fine-grained emission into at most ~[`MAX_EVENTS_PER_LAYER`]
 /// flushes while preserving exact per-kind cycle and MAC totals.
 ///
-/// Callers stream logical steps via [`Coalescer::push`] (one or more
-/// pushes per step, then [`Coalescer::step`]); the coalescer buffers
-/// per-kind totals and flushes a merged burst every
-/// `ceil(total_steps / MAX_EVENTS_PER_LAYER)` steps. Each
-/// `(shape, cause)` kind keeps its own accumulator slot, so losses with
-/// different causes never blur together. Within a merged burst the
-/// kinds are emitted back to back in [`KIND_ORDER`] (an idealization:
-/// real interleaving below the flush granularity is not preserved, but
-/// per-kind cycle and MAC totals are exact).
+/// The layer's `total_steps` logical steps split into flush groups of
+/// `every = ceil(total_steps / MAX_EVENTS_PER_LAYER)` consecutive
+/// steps; the coalescer buffers per-kind totals and flushes one merged
+/// burst per group. Emitters feed it either step by step
+/// ([`Coalescer::push`] one or more times, then [`Coalescer::step`]) or
+/// a whole group at a time: [`Coalescer::groups`] yields each group's
+/// half-open step range, the emitter pushes one closed-form total per
+/// kind for that range, then calls [`Coalescer::end_group`]. Both feeds
+/// flush the same events. Each `(shape, cause)` kind keeps its own
+/// accumulator slot, so losses with different causes never blur
+/// together. Within a merged burst the kinds are emitted back to back
+/// in [`KIND_ORDER`] (an idealization: real interleaving below the
+/// flush granularity is not preserved, but per-kind cycle and MAC
+/// totals are exact).
 pub struct Coalescer<'a> {
     sink: &'a SinkHandle,
+    total_steps: u64,
     every: u64,
     steps_in_group: u64,
     totals: CoalescerTotals,
     cursor: u64,
-    // Accumulated (cycles, macs) per kind, indexed by
-    // `CycleEventKind::index()`.
+    // Flushed events, handed to the sink in one batch by `finish`.
+    events: Vec<CycleEvent>,
+    // Accumulated (cycles, macs) per kind, at its `KIND_ORDER`
+    // position, and the bitmask of positions pushed since the last flush.
     acc: [(u64, u64); CycleEventKind::COUNT],
+    pending: u16,
 }
 
 /// Deterministic flush order within one merged burst: leading stalls
@@ -419,24 +431,45 @@ pub const KIND_ORDER: [CycleEventKind; CycleEventKind::COUNT] = [
     CycleEventKind::Stall(StallCause::MappingResidueIdle),
 ];
 
+// `Coalescer::pending` holds one bit per kind.
+const _: () = assert!(CycleEventKind::COUNT <= u16::BITS as usize);
+
+/// Position of each kind in [`KIND_ORDER`], by [`CycleEventKind::index`].
+const ORDER_POS: [usize; CycleEventKind::COUNT] = {
+    let mut pos = [0; CycleEventKind::COUNT];
+    let mut i = 0;
+    while i < CycleEventKind::COUNT {
+        pos[KIND_ORDER[i].index()] = i;
+        i += 1;
+    }
+    pos
+};
+
 impl<'a> Coalescer<'a> {
     /// Creates a coalescer expecting `total_steps` logical steps.
     pub fn new(sink: &'a SinkHandle, total_steps: u64) -> Coalescer<'a> {
+        let every = total_steps.div_ceil(MAX_EVENTS_PER_LAYER as u64).max(1);
         Coalescer {
             sink,
-            every: total_steps.div_ceil(MAX_EVENTS_PER_LAYER as u64).max(1),
+            total_steps,
+            every,
             steps_in_group: 0,
             totals: CoalescerTotals::default(),
             cursor: 0,
+            // At least one event per group in practice.
+            events: Vec::with_capacity(total_steps.div_ceil(every) as usize + 1),
             acc: [(0, 0); CycleEventKind::COUNT],
+            pending: 0,
         }
     }
 
     /// Accumulates `cycles`/`macs` under `kind` for the current step.
     pub fn push(&mut self, kind: CycleEventKind, cycles: u64, macs: u64) {
-        let (c, m) = &mut self.acc[kind.index()];
+        let pos = ORDER_POS[kind.index()];
+        let (c, m) = &mut self.acc[pos];
         *c += cycles;
         *m += macs;
+        self.pending |= 1 << pos;
         self.totals.cycles += cycles;
         self.totals.macs += macs;
     }
@@ -449,16 +482,41 @@ impl<'a> Coalescer<'a> {
         }
     }
 
+    /// Steps per flush group (the last group may be shorter).
+    pub fn group_steps(&self) -> u64 {
+        self.every
+    }
+
+    /// The flush groups' half-open step ranges, in order:
+    /// `[0, every)`, `[every, 2·every)`, …, the last one ending at
+    /// `total_steps`. For bulk emitters; see [`Coalescer::end_group`].
+    pub fn groups(&self) -> impl Iterator<Item = Range<u64>> {
+        let (every, total) = (self.every, self.total_steps);
+        (0..total.div_ceil(every)).map(move |g| g * every..((g + 1) * every).min(total))
+    }
+
+    /// Marks the end of one whole group from [`Coalescer::groups`],
+    /// whose steps' totals were pushed in bulk, and flushes it.
+    pub fn end_group(&mut self) {
+        debug_assert_eq!(
+            self.steps_in_group, 0,
+            "end_group inside a group fed step by step"
+        );
+        self.flush();
+    }
+
     fn flush(&mut self) {
-        for kind in KIND_ORDER {
-            let (cycles, macs) = self.acc[kind.index()];
+        while self.pending != 0 {
+            let pos = self.pending.trailing_zeros() as usize;
+            self.pending &= self.pending - 1;
+            let (cycles, macs) = std::mem::take(&mut self.acc[pos]);
             if cycles > 0 {
-                self.sink
-                    .emit(&CycleEvent::new(kind, self.cursor, cycles, macs));
+                let kind = KIND_ORDER[pos];
+                self.events
+                    .push(CycleEvent::new(kind, self.cursor, cycles, macs));
                 self.cursor += cycles;
             }
         }
-        self.acc = [(0, 0); CycleEventKind::COUNT];
         self.steps_in_group = 0;
     }
 
@@ -467,6 +525,7 @@ impl<'a> Coalescer<'a> {
     /// `debug_assert`s.
     pub fn finish(mut self) -> CoalescerTotals {
         self.flush();
+        self.sink.emit(&self.events);
         debug_assert_eq!(
             self.totals.cycles, self.cursor,
             "coalescer cursor diverged from pushed cycle total"
@@ -488,12 +547,12 @@ mod tests {
         assert!(!sink.enabled());
         // No panic on forwarding.
         sink.begin_layer(&LayerCtx::new("a", "b", 1));
-        sink.emit(&CycleEvent::new(
+        sink.emit(&[CycleEvent::new(
             CycleEventKind::Pass(StallCause::MappingResidueIdle),
             0,
             1,
             1,
-        ));
+        )]);
         sink.end_layer();
     }
 
@@ -533,26 +592,26 @@ mod tests {
         let sink = SinkHandle::new(rec.clone());
         assert!(sink.enabled());
         sink.begin_layer(&LayerCtx::new("FlexFlow", "C1", 256));
-        sink.emit(&CycleEvent::new(
+        sink.emit(&[CycleEvent::new(
             CycleEventKind::Stall(StallCause::PipelineFill),
             0,
             8,
             0,
-        ));
-        sink.emit(&CycleEvent::new(
+        )]);
+        sink.emit(&[CycleEvent::new(
             CycleEventKind::Pass(StallCause::MappingResidueIdle),
             8,
             100,
             20_000,
-        ));
+        )]);
         sink.end_layer();
         sink.begin_layer(&LayerCtx::new("FlexFlow", "C3", 256));
-        sink.emit(&CycleEvent::new(
+        sink.emit(&[CycleEvent::new(
             CycleEventKind::Pass(StallCause::MappingResidueIdle),
             0,
             10,
             2_000,
-        ));
+        )]);
         sink.end_layer();
         let tl = rec.take();
         assert_eq!(tl.len(), 2);
@@ -655,6 +714,59 @@ mod tests {
     }
 
     #[test]
+    fn bulk_groups_flush_the_same_events_as_per_step_pushes() {
+        let fill = CycleEventKind::Stall(StallCause::PipelineFill);
+        let pass = CycleEventKind::Pass(StallCause::MappingResidueIdle);
+        let spill = CycleEventKind::Stall(StallCause::PsumSpillRoundTrip);
+        // Step `i` computes for 3 cycles doing `i % 5` MACs and spills
+        // for 2; step 0 also fills. Step counts below, at and above the
+        // event cap, with and without a ragged last group.
+        for steps in [1u64, 7, 256, 257, 600, 1000, 10_000] {
+            let record = |bulk: bool| {
+                let rec = Arc::new(CycleRecorder::new());
+                let sink = SinkHandle::new(rec.clone());
+                sink.begin_layer(&LayerCtx::new("a", "l", 8));
+                let mut co = Coalescer::new(&sink, steps);
+                if bulk {
+                    let macs_before = |b: u64| (0..b).map(|i| i % 5).sum::<u64>();
+                    let mut covered = 0;
+                    for group in co.groups() {
+                        assert_eq!(group.start, covered, "groups tile the steps");
+                        covered = group.end;
+                        if group.start == 0 {
+                            co.push(fill, 4, 0);
+                        }
+                        let n = group.end - group.start;
+                        co.push(
+                            pass,
+                            3 * n,
+                            macs_before(group.end) - macs_before(group.start),
+                        );
+                        co.push(spill, 2 * n, 0);
+                        co.end_group();
+                    }
+                    assert_eq!(covered, steps);
+                } else {
+                    for i in 0..steps {
+                        if i == 0 {
+                            co.push(fill, 4, 0);
+                        }
+                        co.push(pass, 3, i % 5);
+                        co.push(spill, 2, 0);
+                        co.step();
+                    }
+                }
+                let totals = co.finish();
+                sink.end_layer();
+                (totals, rec.take())
+            };
+            let (per_step, bulk) = (record(false), record(true));
+            assert_eq!(bulk, per_step, "{steps} steps");
+            assert!(bulk.1[0].events.len() <= 3 * MAX_EVENTS_PER_LAYER);
+        }
+    }
+
+    #[test]
     fn coalescer_keeps_causes_in_separate_events() {
         let rec = Arc::new(CycleRecorder::new());
         let sink = SinkHandle::new(rec.clone());
@@ -689,12 +801,12 @@ mod tests {
         let sink = SinkHandle::new(rec.clone()).tagged("fig15");
         assert!(sink.enabled());
         sink.begin_layer(&LayerCtx::new("FlexFlow", "C1", 256));
-        sink.emit(&CycleEvent::new(
+        sink.emit(&[CycleEvent::new(
             CycleEventKind::Pass(StallCause::MappingResidueIdle),
             0,
             10,
             100,
-        ));
+        )]);
         sink.end_layer();
         let tl = rec.take();
         assert_eq!(tl.len(), 1);

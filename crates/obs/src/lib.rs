@@ -58,12 +58,12 @@
 //! let sink = SinkHandle::new(recorder.clone());
 //! assert!(sink.enabled());
 //! sink.begin_layer(&LayerCtx::new("FlexFlow", "C1", 256));
-//! sink.emit(&CycleEvent::new(
+//! sink.emit(&[CycleEvent::new(
 //!     CycleEventKind::Pass(StallCause::MappingResidueIdle),
 //!     0,
 //!     100,
 //!     12_800,
-//! ));
+//! )]);
 //! sink.end_layer();
 //! let timelines = recorder.take();
 //! assert_eq!(timelines.len(), 1);

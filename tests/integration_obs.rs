@@ -207,6 +207,71 @@ fn flexsim_trace_flag_writes_loadable_chrome_trace() {
     );
 }
 
+/// `--trace` on `run` streams one Chrome trace holding all four
+/// architectures' cycle timelines (stdout unchanged); every other
+/// subcommand refuses the flag with exit 2 and writes nothing.
+#[test]
+fn run_honours_trace_and_other_subcommands_refuse_it() {
+    let dir = std::env::temp_dir().join(format!("flexsim-run-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("run.json");
+    let flexsim = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_flexsim"))
+            .args(args)
+            .output()
+            .expect("flexsim runs")
+    };
+    let plain = flexsim(&["run", "lenet", "--json"]);
+    let traced = flexsim(&["--trace", file.to_str().unwrap(), "run", "lenet", "--json"]);
+    let stderr = String::from_utf8_lossy(&traced.stderr);
+    assert!(traced.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("layer timelines"), "{stderr}");
+    assert_eq!(traced.stdout, plain.stdout, "--trace changed run's report");
+
+    let text = std::fs::read_to_string(&file).unwrap();
+    std::fs::remove_file(&file).unwrap();
+    let parsed = Json::parse(&text).expect("trace file parses");
+    let events = field(&parsed, "traceEvents").and_then(as_arr).unwrap();
+    let pid_of = |name: &str| {
+        events.iter().find_map(|e| {
+            let named = str_field(e, "name") == Some("process_name")
+                && field(e, "args").and_then(|a| str_field(a, "name")) == Some(name);
+            named.then(|| int_field(e, "pid")).flatten()
+        })
+    };
+    for arch in arches::ARCH_NAMES {
+        let pid = pid_of(&format!("sim:{arch}")).unwrap_or_else(|| panic!("no sim:{arch}"));
+        assert!(
+            events
+                .iter()
+                .any(|e| int_field(e, "pid") == Some(pid) && str_field(e, "ph") == Some("X")),
+            "no cycle events for {arch}"
+        );
+    }
+    assert!(pid_of("host").is_some(), "no host spans");
+
+    for cmd in [
+        &["lint"][..],
+        &["stats"],
+        &["workloads"],
+        &["heatmap", "lenet"],
+        &["bench", "sweep"],
+        &["tune", "lenet"],
+        &["prove", "lenet"],
+        &["profile", "lenet"],
+    ] {
+        let out = flexsim(&[&["--trace", file.to_str().unwrap()][..], cmd].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}: {stderr}");
+        assert!(
+            stderr.contains("--trace is not supported"),
+            "{cmd:?}: {stderr}"
+        );
+        assert!(!file.exists(), "{cmd:?} wrote a trace");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn field<'a>(v: &'a Json, name: &str) -> Option<&'a Json> {
     match v {
         Json::Obj(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
