@@ -13,7 +13,7 @@
 //! the reference. The analytic path counts the same schedule in closed
 //! form.
 
-use crate::common::{buffer_banks, cdiv, finish, Outcome};
+use crate::common::{cdiv, extent, Outcome, Shared, StepClass, StepGrid};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
@@ -22,8 +22,8 @@ use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Tensor2, Tensor3};
 use flexsim_obs::attrib::StallCause;
-use flexsim_obs::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
-use flexsim_obs::spatial::{CellRect, HeatmapBuilder, SpatialHandle};
+use flexsim_obs::cycles::SinkHandle;
+use flexsim_obs::spatial::{CellRect, SpatialHandle};
 use flexsim_obs::telemetry;
 
 /// Operand-movement statistics from the explicit shift simulation.
@@ -54,9 +54,7 @@ pub struct Mapping2dStats {
 pub struct Mapping2d {
     tr: usize,
     tc: usize,
-    energy: EnergyModel,
-    sink: SinkHandle,
-    spatial: SpatialHandle,
+    shared: Shared,
 }
 
 impl Mapping2d {
@@ -70,9 +68,7 @@ impl Mapping2d {
         Mapping2d {
             tr,
             tc,
-            energy: EnergyModel::tsmc65(),
-            sink: SinkHandle::none(),
-            spatial: SpatialHandle::none(),
+            shared: Shared::new(),
         }
     }
 
@@ -84,7 +80,7 @@ impl Mapping2d {
 
     /// Replaces the energy model (for ablations).
     pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
+        self.shared.energy = energy;
         self
     }
 
@@ -222,32 +218,65 @@ impl Mapping2d {
         (out, stats)
     }
 
-    fn analyze(&self, layer: &ConvLayer) -> Outcome {
+    /// The layer's step grid: `⌈S / Tr⌉ × ⌈S / Tc⌉` steps, one per
+    /// output tile. Each step is the tile's initial window load, then
+    /// one merged pass covering its `M·N·K²` compute cycles (subsequent
+    /// output maps overlap their window prefetch with the previous
+    /// map's compute). The last row and column of tiles are clamped to
+    /// `Tr_eff × Tc_eff`.
+    ///
+    /// Loss attribution: the window load is
+    /// [`StallCause::BufferBandwidthWait`] — operands inject through
+    /// the array edge at buffer width, so the whole array waits `Tc`
+    /// cycles for the window to arrive. The pass residue comes only
+    /// from `Tr_eff·Tc_eff` edge clamping, hence
+    /// [`StallCause::EdgeFragmentation`] (interior tiles have zero
+    /// residue).
+    ///
+    /// Spatially each tile computes in the top-left `Tr_eff × Tc_eff`
+    /// corner of the array (output neurons map to PEs in place), so
+    /// edge tiles darken the right and bottom margins — the paper's
+    /// "feature map smaller than computing array" waste, per cell. No
+    /// shared reduction ports or CDB exist here, so both contention
+    /// matrices stay empty.
+    fn grid(&self, layer: &ConvLayer) -> StepGrid {
         let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let pe_count = (self.tr * self.tc) as u64;
-        let row_tiles = cdiv(s, self.tr);
-        let col_tiles = cdiv(s, self.tc);
-        let tiles = (row_tiles * col_tiles) as u64;
-        // K² compute cycles per (m, tile, n), plus an initial window-load
-        // of Tc cycles per tile (subsequent output maps overlap their
-        // window prefetch with the previous map's compute).
-        let compute_cycles = (m * n * k * k) as u64 * tiles;
-        let init_cycles = tiles * self.tc as u64;
-        let cycles = compute_cycles + init_cycles;
+        let pass_cycles = (m * n * k * k) as u64;
+        StepGrid::new(cdiv(s, self.tr), cdiv(s, self.tc), |last_row, last_col| {
+            let tr_eff = extent(s, self.tr, last_row);
+            let tc_eff = extent(s, self.tc, last_col);
+            StepClass {
+                stalls: vec![(StallCause::BufferBandwidthWait, self.tc as u64)],
+                cause: StallCause::EdgeFragmentation,
+                pass_cycles,
+                macs: (tr_eff * tc_eff) as u64 * pass_cycles,
+                rects: vec![CellRect {
+                    row: 0,
+                    col: 0,
+                    rows: tr_eff,
+                    cols: tc_eff,
+                }],
+            }
+        })
+    }
+
+    /// The layer's grid and its closed-form cost: cycles from the grid,
+    /// traffic and events counted alongside.
+    fn analyze(&self, layer: &ConvLayer) -> (StepGrid, Outcome) {
+        let grid = self.grid(layer);
+        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
+        let compute_cycles = (m * n * k * k) as u64 * grid.steps();
+        let cycles = grid.cycles();
         let macs = layer.macs();
 
         // Traffic: each tile reads its haloed input region once per
         // (m, n) — the paper's "input feature maps are still needed to be
         // read multiple times corresponding to different output feature
         // maps". Kernels are broadcast one synapse per compute cycle.
-        let mut halo_words = 0u64;
-        for rt in 0..row_tiles {
-            for ct in 0..col_tiles {
-                let tr = self.tr.min(s - rt * self.tr);
-                let tc = self.tc.min(s - ct * self.tc);
-                halo_words += ((tr + k - 1) * (tc + k - 1)) as u64;
-            }
-        }
+        let halo_words = grid.sum(|tile| {
+            let r = &tile.rects[0];
+            ((r.rows + k - 1) * (r.cols + k - 1)) as u64
+        });
         let neuron_in = (m * n) as u64 * halo_words;
         // One synapse is read from the kernel buffer and broadcast every
         // compute cycle; tiles re-read the same synapses.
@@ -259,7 +288,6 @@ impl Mapping2d {
             kernel_in,
             psum: 0,
         };
-        let _ = pe_count;
 
         // Events: every MAC pulls its input from a neighbour FIFO (one
         // read + one write as the operand window shifts) and updates the
@@ -275,104 +303,13 @@ impl Mapping2d {
             bus_words: compute_cycles + neuron_in,
             ..Default::default()
         };
-        Outcome {
+        let outcome = Outcome {
             cycles,
             macs,
             events,
             traffic,
-        }
-    }
-
-    /// Emits the layer's cycle-domain timeline: one step per spatial
-    /// tile — the initial window load, then one merged `Pass` covering
-    /// the tile's `M·N·K²` compute cycles with the clamped `Tr·Tc`
-    /// occupancy. Totals are exact against [`Self::analyze`].
-    ///
-    /// Loss attribution: the per-tile window load is
-    /// [`StallCause::BufferBandwidthWait`] — operands inject through
-    /// the array edge at buffer width, so the whole array waits `Tc`
-    /// cycles for the window to arrive. The pass residue comes only
-    /// from `Tr_eff·Tc_eff` edge clamping, hence
-    /// [`StallCause::EdgeFragmentation`] (interior tiles have zero
-    /// residue).
-    fn emit_cycle_events(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let row_tiles = cdiv(s, self.tr);
-        let col_tiles = cdiv(s, self.tc);
-        let pass_cycles = (m * n * k * k) as u64;
-        self.sink.begin_layer(&LayerCtx::new(
-            self.name(),
-            layer.name(),
-            self.pe_count() as u32,
-        ));
-        let mut co = Coalescer::new(&self.sink, (row_tiles * col_tiles) as u64);
-        for rt in 0..row_tiles {
-            let tr_eff = self.tr.min(s - rt * self.tr) as u64;
-            for ct in 0..col_tiles {
-                let tc_eff = self.tc.min(s - ct * self.tc) as u64;
-                co.push(
-                    CycleEventKind::Stall(StallCause::BufferBandwidthWait),
-                    self.tc as u64,
-                    0,
-                );
-                co.push(
-                    CycleEventKind::Pass(StallCause::EdgeFragmentation),
-                    pass_cycles,
-                    tr_eff * tc_eff * pass_cycles,
-                );
-                co.step();
-            }
-        }
-        let totals = co.finish();
-        debug_assert_eq!(
-            totals.cycles, total_cycles,
-            "trace cycles diverge from analyze"
-        );
-        debug_assert_eq!(
-            totals.macs,
-            layer.macs(),
-            "trace MACs diverge from analyze (flexcheck FXC09 attribution-exactness)"
-        );
-        self.sink.end_layer();
-    }
-
-    /// Emits the layer's spatial record: each output tile computes in
-    /// the top-left `Tr_eff × Tc_eff` corner of the array (output
-    /// neurons map to PEs in place), so edge tiles darken the right and
-    /// bottom margins — exactly the paper's "feature map smaller than
-    /// computing array" waste, now visible per cell. Window loads cost
-    /// every PE uniformly. Cell sums reproduce the ledger exactly
-    /// (flexcheck FXC13). No shared reduction ports or CDB exist here,
-    /// so both contention matrices stay empty.
-    fn emit_spatial(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let row_tiles = cdiv(s, self.tr);
-        let col_tiles = cdiv(s, self.tc);
-        let pass_cycles = (m * n * k * k) as u64;
-        let mut hb = HeatmapBuilder::new(self.name(), layer.name(), self.tr, self.tc, total_cycles);
-        hb.stall(
-            StallCause::BufferBandwidthWait,
-            (row_tiles * col_tiles * self.tc) as u64,
-        );
-        for rt in 0..row_tiles {
-            let tr_eff = self.tr.min(s - rt * self.tr);
-            for ct in 0..col_tiles {
-                let tc_eff = self.tc.min(s - ct * self.tc);
-                hb.pass(
-                    StallCause::EdgeFragmentation,
-                    &[CellRect {
-                        row: 0,
-                        col: 0,
-                        rows: tr_eff,
-                        cols: tc_eff,
-                    }],
-                    pass_cycles,
-                    (tr_eff * tc_eff) as u64 * pass_cycles,
-                );
-            }
-        }
-        buffer_banks(&mut hb, layer, total_cycles);
-        self.spatial.record_layer(hb.finish());
+        };
+        (grid, outcome)
     }
 
     fn area_spec(&self) -> AreaSpec {
@@ -398,33 +335,20 @@ impl Accelerator for Mapping2d {
     }
 
     fn run_conv(&mut self, layer: &ConvLayer) -> LayerResult {
-        let outcome = {
+        let analyzed = {
             let _schedule = telemetry::phase(telemetry::Phase::Schedule);
             self.analyze(layer)
         };
-        if self.sink.enabled() {
-            self.emit_cycle_events(layer, outcome.cycles);
-        }
-        if self.spatial.enabled() {
-            self.emit_spatial(layer, outcome.cycles);
-        }
-        let area = self.area().total_mm2();
-        finish(
-            self.name(),
-            layer,
-            self.pe_count(),
-            outcome,
-            &self.energy,
-            area,
-        )
+        self.shared
+            .finish(self, layer, (self.tr, self.tc), analyzed)
     }
 
     fn attach_sink(&mut self, sink: SinkHandle) {
-        self.sink = sink;
+        self.shared.sink = sink;
     }
 
     fn attach_spatial(&mut self, sink: SpatialHandle) {
-        self.spatial = sink;
+        self.shared.spatial = sink;
     }
 
     fn area(&self) -> AreaBreakdown {
@@ -435,8 +359,140 @@ impl Accelerator for Mapping2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{buffer_banks, record_one};
     use flexsim_model::reference;
     use flexsim_model::workloads;
+    use flexsim_obs::cycles::{
+        Coalescer, CycleEvent, CycleEventKind, CycleRecorder, LayerCtx, MAX_EVENTS_PER_LAYER,
+    };
+    use flexsim_obs::spatial::{HeatmapBuilder, LayerSpatial};
+    use flexsim_testkit::prop;
+    use std::sync::Arc;
+
+    /// The timeline as the walking emitter produced it: one coalescer
+    /// step per output tile.
+    fn walked_timeline(m2d: &Mapping2d, layer: &ConvLayer) -> Vec<CycleEvent> {
+        let rec = Arc::new(CycleRecorder::new());
+        let sink = SinkHandle::new(rec.clone());
+        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
+        let row_tiles = cdiv(s, m2d.tr);
+        let col_tiles = cdiv(s, m2d.tc);
+        let pass_cycles = (m * n * k * k) as u64;
+        sink.begin_layer(&LayerCtx::new(
+            m2d.name(),
+            layer.name(),
+            m2d.pe_count() as u32,
+        ));
+        let mut co = Coalescer::new(&sink, (row_tiles * col_tiles) as u64);
+        for rt in 0..row_tiles {
+            let tr_eff = m2d.tr.min(s - rt * m2d.tr) as u64;
+            for ct in 0..col_tiles {
+                let tc_eff = m2d.tc.min(s - ct * m2d.tc) as u64;
+                co.push(
+                    CycleEventKind::Stall(StallCause::BufferBandwidthWait),
+                    m2d.tc as u64,
+                    0,
+                );
+                co.push(
+                    CycleEventKind::Pass(StallCause::EdgeFragmentation),
+                    pass_cycles,
+                    tr_eff * tc_eff * pass_cycles,
+                );
+                co.step();
+            }
+        }
+        co.finish();
+        sink.end_layer();
+        rec.take().remove(0).events
+    }
+
+    /// The heatmap as the walking emitter produced it: one pass per
+    /// output tile.
+    fn walked_spatial(m2d: &Mapping2d, layer: &ConvLayer, total_cycles: u64) -> LayerSpatial {
+        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
+        let row_tiles = cdiv(s, m2d.tr);
+        let col_tiles = cdiv(s, m2d.tc);
+        let pass_cycles = (m * n * k * k) as u64;
+        let mut hb = HeatmapBuilder::new(m2d.name(), layer.name(), m2d.tr, m2d.tc, total_cycles);
+        hb.stall(
+            StallCause::BufferBandwidthWait,
+            (row_tiles * col_tiles * m2d.tc) as u64,
+        );
+        for rt in 0..row_tiles {
+            let tr_eff = m2d.tr.min(s - rt * m2d.tr);
+            for ct in 0..col_tiles {
+                let tc_eff = m2d.tc.min(s - ct * m2d.tc);
+                hb.pass(
+                    StallCause::EdgeFragmentation,
+                    &[CellRect {
+                        row: 0,
+                        col: 0,
+                        rows: tr_eff,
+                        cols: tc_eff,
+                    }],
+                    pass_cycles,
+                    (tr_eff * tc_eff) as u64 * pass_cycles,
+                    1,
+                );
+            }
+        }
+        buffer_banks(&mut hb, layer, total_cycles);
+        hb.finish()
+    }
+
+    /// Records `layer` and checks its timeline event by event and its
+    /// heatmap cell by cell against the walking oracles.
+    fn assert_matches_the_walk(m2d: &mut Mapping2d, layer: &ConvLayer) {
+        let (r, events, spatial) = record_one(m2d, layer);
+        let tag = format!("{}/{}x{}", layer.name(), m2d.tr, m2d.tc);
+        assert_eq!(events, walked_timeline(m2d, layer), "{tag}");
+        assert_eq!(spatial, walked_spatial(m2d, layer, r.cycles), "{tag}");
+        assert_eq!(events.iter().map(|e| e.macs).sum::<u64>(), r.macs, "{tag}");
+    }
+
+    #[test]
+    fn grid_matches_the_walk_on_table1_layers() {
+        for net in workloads::all() {
+            for layer in net.conv_layers() {
+                assert_matches_the_walk(&mut Mapping2d::shidiannao(), layer);
+            }
+        }
+    }
+
+    #[test]
+    fn grid_matches_the_walk_on_random_layers() {
+        // Ragged S mod Tr and S mod Tc, and tile counts on both sides of
+        // the coalescer's event cap.
+        prop::check(
+            "mapping2d_grid_matches_the_walk_on_random_layers",
+            64,
+            (
+                (1usize..=6, 1usize..=4, 1usize..=60, 1usize..=5),
+                (1usize..=16, 1usize..=16),
+            ),
+            |&((m, n, s, k), (tr, tc))| {
+                let layer = ConvLayer::new("R", m, n, s, k);
+                assert_matches_the_walk(&mut Mapping2d::new(tr, tc), &layer);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn huge_tile_counts_record_a_bounded_exact_timeline() {
+        // S=4096 on 16×16 is 65,536 tiles: recording stays within the
+        // coalescer's event cap and its totals equal the cost model's.
+        let layer = ConvLayer::new("L", 2, 2, 4096, 3);
+        let (r, events, _) = record_one(&mut Mapping2d::shidiannao(), &layer);
+        assert!(
+            events.len() <= 2 * MAX_EVENTS_PER_LAYER + 2,
+            "{}",
+            events.len()
+        );
+        assert_eq!(events.iter().map(|e| e.cycles).sum::<u64>(), r.cycles);
+        assert_eq!(events.iter().map(|e| e.macs).sum::<u64>(), r.macs);
+        assert_eq!(r.macs, layer.macs());
+    }
 
     #[test]
     fn functional_matches_reference_small_layer() {

@@ -16,7 +16,7 @@
 //! ("Systolic needs a long initialization phase to fill its deep
 //! pipeline", Section 6.2.3).
 
-use crate::common::{buffer_banks, cdiv, finish, Outcome};
+use crate::common::{cdiv, extent, Outcome, Shared, StepClass, StepGrid};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
@@ -25,8 +25,8 @@ use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Fx16, Tensor2, Tensor3};
 use flexsim_obs::attrib::StallCause;
-use flexsim_obs::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
-use flexsim_obs::spatial::{CellRect, HeatmapBuilder, SpatialHandle};
+use flexsim_obs::cycles::SinkHandle;
+use flexsim_obs::spatial::{CellRect, SpatialHandle};
 use flexsim_obs::telemetry;
 
 /// The Systolic baseline simulator.
@@ -47,9 +47,7 @@ use flexsim_obs::telemetry;
 pub struct Systolic {
     array_k: usize,
     num_arrays: usize,
-    energy: EnergyModel,
-    sink: SinkHandle,
-    spatial: SpatialHandle,
+    shared: Shared,
 }
 
 impl Systolic {
@@ -67,9 +65,7 @@ impl Systolic {
         Systolic {
             array_k,
             num_arrays,
-            energy: EnergyModel::tsmc65(),
-            sink: SinkHandle::none(),
-            spatial: SpatialHandle::none(),
+            shared: Shared::new(),
         }
     }
 
@@ -94,7 +90,7 @@ impl Systolic {
 
     /// Replaces the energy model (for ablations).
     pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
+        self.shared.energy = energy;
         self
     }
 
@@ -225,8 +221,65 @@ impl Systolic {
         debug_assert!(chain.iter().all(Option::is_none), "pipeline fully drained");
     }
 
-    /// Closed-form schedule accounting shared by `run_conv`.
-    fn analyze(&self, layer: &ConvLayer) -> Outcome {
+    /// The layer's step grid: `⌈M / arrays⌉ × N` steps, one per
+    /// `(m-group, input map)` pair with its sub-kernel passes merged.
+    /// Each step is the chain bubble, split into ramp-in/ramp-out
+    /// stalls, then the streaming window as a pass. Only the last row
+    /// is an edge, when `M mod arrays ≠ 0`.
+    ///
+    /// Loss attribution: the chain bubble divides evenly into
+    /// [`StallCause::PipelineFill`] (no output emerges until the chain
+    /// primes) and [`StallCause::PipelineDrain`] (accumulators still in
+    /// flight after the last input). The pass residue is
+    /// [`StallCause::MappingResidueIdle`] on full m-groups (`K² < ak²`
+    /// array waste, window overscan) and
+    /// [`StallCause::EdgeFragmentation`] on the final partial group
+    /// (`M mod arrays` arrays idle — edge-dominated, so the whole
+    /// residue of that step is attributed there).
+    ///
+    /// Spatially the engine is `arrays` stacked `ak × ak` tiles (rows
+    /// `a·ak..a·ak+ak` are array `a`); a pass lights the active arrays'
+    /// `K_eff × K_eff` sub-rectangles, so the heatmap *shows* the
+    /// `K² < ak²` array waste as dark cells outside the kernel
+    /// footprint. Systolic chains have no shared adder-tree ports or
+    /// CDB, so both contention matrices stay empty.
+    fn grid(&self, layer: &ConvLayer) -> StepGrid {
+        let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
+        let w = layer.input_size();
+        let ak = self.array_k;
+        let pk = (cdiv(k, ak) * cdiv(k, ak)) as u64;
+        let bubble = pk * self.chain_len(w) as u64;
+        let keff = k.min(ak);
+        StepGrid::new(cdiv(m, self.num_arrays), n, |last_group, _| {
+            let arrays_active = extent(m, self.num_arrays, last_group);
+            StepClass {
+                stalls: vec![
+                    (StallCause::PipelineFill, bubble.div_ceil(2)),
+                    (StallCause::PipelineDrain, bubble / 2),
+                ],
+                cause: if arrays_active < self.num_arrays {
+                    StallCause::EdgeFragmentation
+                } else {
+                    StallCause::MappingResidueIdle
+                },
+                pass_cycles: pk * (w * w) as u64,
+                macs: arrays_active as u64 * (s * s * k * k) as u64,
+                rects: (0..arrays_active)
+                    .map(|a| CellRect {
+                        row: a * ak,
+                        col: 0,
+                        rows: keff,
+                        cols: keff,
+                    })
+                    .collect(),
+            }
+        })
+    }
+
+    /// The layer's grid and its closed-form cost: cycles from the grid,
+    /// traffic and events counted alongside.
+    fn analyze(&self, layer: &ConvLayer) -> (StepGrid, Outcome) {
+        let grid = self.grid(layer);
         let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
         let w = layer.input_size();
         let ak = self.array_k;
@@ -237,7 +290,7 @@ impl Systolic {
         let m_groups = cdiv(m, self.num_arrays);
         let passes = (m_groups * n * pk) as u64;
         let cycles_per_pass = (w * w + self.chain_len(w)) as u64;
-        let cycles = passes * cycles_per_pass;
+        let cycles = grid.cycles();
         let macs = layer.macs();
 
         // Traffic: input broadcast is shared by all arrays in a group;
@@ -275,133 +328,13 @@ impl Systolic {
             bus_words: neuron_in,
             ..Default::default()
         };
-        Outcome {
+        let outcome = Outcome {
             cycles,
             macs,
             events,
             traffic,
-        }
-    }
-
-    /// Emits the layer's cycle-domain timeline: one `(m-group, input
-    /// map)` step per coalescer tick — sub-kernel passes merged — with
-    /// the chain bubble split into ramp-in/ramp-out stalls and the
-    /// streaming window as a `Pass`. Cycle and MAC totals are exact
-    /// against [`Self::analyze`].
-    ///
-    /// Loss attribution: the chain bubble divides evenly into
-    /// [`StallCause::PipelineFill`] (no output emerges until the chain
-    /// primes) and [`StallCause::PipelineDrain`] (accumulators still in
-    /// flight after the last input). The pass residue is
-    /// [`StallCause::MappingResidueIdle`] on full m-groups (`K² < ak²`
-    /// array waste, window overscan) and
-    /// [`StallCause::EdgeFragmentation`] on the final partial group
-    /// (`M mod num_arrays` arrays idle — edge-dominated, so the whole
-    /// residue of that step is attributed there).
-    fn emit_cycle_events(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
-        let w = layer.input_size();
-        let ak = self.array_k;
-        let pk = (cdiv(k, ak) * cdiv(k, ak)) as u64;
-        let fill = self.chain_len(w) as u64;
-        let stream = (w * w) as u64;
-        let m_groups = cdiv(m, self.num_arrays);
-        self.sink.begin_layer(&LayerCtx::new(
-            self.name(),
-            layer.name(),
-            self.pe_count() as u32,
-        ));
-        let mut co = Coalescer::new(&self.sink, (m_groups * n) as u64);
-        for gi in 0..m_groups {
-            let arrays_active = self.num_arrays.min(m - gi * self.num_arrays) as u64;
-            let pass_macs = arrays_active * (s * s * k * k) as u64;
-            let residue_cause = if arrays_active < self.num_arrays as u64 {
-                StallCause::EdgeFragmentation
-            } else {
-                StallCause::MappingResidueIdle
-            };
-            for _ in 0..n {
-                let bubble = pk * fill;
-                co.push(
-                    CycleEventKind::Stall(StallCause::PipelineFill),
-                    bubble.div_ceil(2),
-                    0,
-                );
-                co.push(
-                    CycleEventKind::Stall(StallCause::PipelineDrain),
-                    bubble / 2,
-                    0,
-                );
-                co.push(CycleEventKind::Pass(residue_cause), pk * stream, pass_macs);
-                co.step();
-            }
-        }
-        let totals = co.finish();
-        debug_assert_eq!(
-            totals.cycles, total_cycles,
-            "trace cycles diverge from analyze"
-        );
-        debug_assert_eq!(
-            totals.macs,
-            layer.macs(),
-            "trace MACs diverge from analyze (flexcheck FXC09 attribution-exactness)"
-        );
-        self.sink.end_layer();
-    }
-
-    /// Emits the layer's spatial record: the heatmap is the engine laid
-    /// out as `num_arrays` stacked `array_k × array_k` tiles (rows
-    /// `a·ak..a·ak+ak` are array `a`). The chain bubble costs every PE
-    /// uniformly; each m-group's pass credits its MACs to the active
-    /// arrays' `K_eff × K_eff` sub-rectangles — so per-cause cell sums
-    /// reproduce the ledger exactly (flexcheck FXC13), and the heatmap
-    /// *shows* the `K² < ak²` array waste as dark cells outside the
-    /// kernel footprint. Systolic chains have no shared adder-tree
-    /// ports or CDB, so both contention matrices stay empty.
-    fn emit_spatial(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
-        let w = layer.input_size();
-        let ak = self.array_k;
-        let pk = (cdiv(k, ak) * cdiv(k, ak)) as u64;
-        let bubble = pk * self.chain_len(w) as u64;
-        let stream = (w * w) as u64;
-        let m_groups = cdiv(m, self.num_arrays);
-        let keff = k.min(ak);
-        let mut hb = HeatmapBuilder::new(
-            self.name(),
-            layer.name(),
-            self.num_arrays * ak,
-            ak,
-            total_cycles,
-        );
-        let steps = (m_groups * n) as u64;
-        hb.stall(StallCause::PipelineFill, steps * bubble.div_ceil(2));
-        hb.stall(StallCause::PipelineDrain, steps * (bubble / 2));
-        for gi in 0..m_groups {
-            let arrays_active = self.num_arrays.min(m - gi * self.num_arrays);
-            let pass_macs = arrays_active as u64 * (s * s * k * k) as u64;
-            let residue_cause = if arrays_active < self.num_arrays {
-                StallCause::EdgeFragmentation
-            } else {
-                StallCause::MappingResidueIdle
-            };
-            let rects: Vec<CellRect> = (0..arrays_active)
-                .map(|a| CellRect {
-                    row: a * ak,
-                    col: 0,
-                    rows: keff,
-                    cols: keff,
-                })
-                .collect();
-            hb.pass(
-                residue_cause,
-                &rects,
-                n as u64 * pk * stream,
-                n as u64 * pass_macs,
-            );
-        }
-        buffer_banks(&mut hb, layer, total_cycles);
-        self.spatial.record_layer(hb.finish());
+        };
+        (grid, outcome)
     }
 
     fn area_spec(&self) -> AreaSpec {
@@ -427,33 +360,24 @@ impl Accelerator for Systolic {
     }
 
     fn run_conv(&mut self, layer: &ConvLayer) -> LayerResult {
-        let outcome = {
+        let analyzed = {
             let _schedule = telemetry::phase(telemetry::Phase::Schedule);
             self.analyze(layer)
         };
-        if self.sink.enabled() {
-            self.emit_cycle_events(layer, outcome.cycles);
-        }
-        if self.spatial.enabled() {
-            self.emit_spatial(layer, outcome.cycles);
-        }
-        let area = self.area().total_mm2();
-        finish(
-            self.name(),
+        self.shared.finish(
+            self,
             layer,
-            self.pe_count(),
-            outcome,
-            &self.energy,
-            area,
+            (self.num_arrays * self.array_k, self.array_k),
+            analyzed,
         )
     }
 
     fn attach_sink(&mut self, sink: SinkHandle) {
-        self.sink = sink;
+        self.shared.sink = sink;
     }
 
     fn attach_spatial(&mut self, sink: SpatialHandle) {
-        self.spatial = sink;
+        self.shared.spatial = sink;
     }
 
     fn area(&self) -> AreaBreakdown {
@@ -464,8 +388,159 @@ impl Accelerator for Systolic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{buffer_banks, record_one};
     use flexsim_model::reference;
     use flexsim_model::workloads;
+    use flexsim_obs::cycles::{Coalescer, CycleEvent, CycleEventKind, CycleRecorder, LayerCtx};
+    use flexsim_obs::spatial::{HeatmapBuilder, LayerSpatial};
+    use flexsim_testkit::prop;
+    use std::sync::Arc;
+
+    /// The timeline as the walking emitter produced it: one coalescer
+    /// step per `(m-group, input map)`.
+    fn walked_timeline(sys: &Systolic, layer: &ConvLayer) -> Vec<CycleEvent> {
+        let rec = Arc::new(CycleRecorder::new());
+        let sink = SinkHandle::new(rec.clone());
+        let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
+        let w = layer.input_size();
+        let ak = sys.array_k;
+        let pk = (cdiv(k, ak) * cdiv(k, ak)) as u64;
+        let fill = sys.chain_len(w) as u64;
+        let stream = (w * w) as u64;
+        let m_groups = cdiv(m, sys.num_arrays);
+        sink.begin_layer(&LayerCtx::new(
+            sys.name(),
+            layer.name(),
+            sys.pe_count() as u32,
+        ));
+        let mut co = Coalescer::new(&sink, (m_groups * n) as u64);
+        for gi in 0..m_groups {
+            let arrays_active = sys.num_arrays.min(m - gi * sys.num_arrays) as u64;
+            let pass_macs = arrays_active * (s * s * k * k) as u64;
+            let residue_cause = if arrays_active < sys.num_arrays as u64 {
+                StallCause::EdgeFragmentation
+            } else {
+                StallCause::MappingResidueIdle
+            };
+            for _ in 0..n {
+                let bubble = pk * fill;
+                co.push(
+                    CycleEventKind::Stall(StallCause::PipelineFill),
+                    bubble.div_ceil(2),
+                    0,
+                );
+                co.push(
+                    CycleEventKind::Stall(StallCause::PipelineDrain),
+                    bubble / 2,
+                    0,
+                );
+                co.push(CycleEventKind::Pass(residue_cause), pk * stream, pass_macs);
+                co.step();
+            }
+        }
+        co.finish();
+        sink.end_layer();
+        rec.take().remove(0).events
+    }
+
+    /// The heatmap as the walking emitter produced it: one pass per
+    /// m-group.
+    fn walked_spatial(sys: &Systolic, layer: &ConvLayer, total_cycles: u64) -> LayerSpatial {
+        let (m, n, k, s) = (layer.m(), layer.n(), layer.k(), layer.s());
+        let w = layer.input_size();
+        let ak = sys.array_k;
+        let pk = (cdiv(k, ak) * cdiv(k, ak)) as u64;
+        let bubble = pk * sys.chain_len(w) as u64;
+        let stream = (w * w) as u64;
+        let m_groups = cdiv(m, sys.num_arrays);
+        let keff = k.min(ak);
+        let mut hb = HeatmapBuilder::new(
+            sys.name(),
+            layer.name(),
+            sys.num_arrays * ak,
+            ak,
+            total_cycles,
+        );
+        let steps = (m_groups * n) as u64;
+        hb.stall(StallCause::PipelineFill, steps * bubble.div_ceil(2));
+        hb.stall(StallCause::PipelineDrain, steps * (bubble / 2));
+        for gi in 0..m_groups {
+            let arrays_active = sys.num_arrays.min(m - gi * sys.num_arrays);
+            let pass_macs = arrays_active as u64 * (s * s * k * k) as u64;
+            let residue_cause = if arrays_active < sys.num_arrays {
+                StallCause::EdgeFragmentation
+            } else {
+                StallCause::MappingResidueIdle
+            };
+            let rects: Vec<CellRect> = (0..arrays_active)
+                .map(|a| CellRect {
+                    row: a * ak,
+                    col: 0,
+                    rows: keff,
+                    cols: keff,
+                })
+                .collect();
+            hb.pass(
+                residue_cause,
+                &rects,
+                n as u64 * pk * stream,
+                n as u64 * pass_macs,
+                1,
+            );
+        }
+        buffer_banks(&mut hb, layer, total_cycles);
+        hb.finish()
+    }
+
+    /// Records `layer` and checks its timeline event by event and its
+    /// heatmap cell by cell against the walking oracles.
+    fn assert_matches_the_walk(sys: &mut Systolic, layer: &ConvLayer) {
+        let (r, events, spatial) = record_one(sys, layer);
+        let tag = format!("{}/{}x{}", layer.name(), sys.num_arrays, sys.array_k);
+        assert_eq!(events, walked_timeline(sys, layer), "{tag}");
+        assert_eq!(spatial, walked_spatial(sys, layer, r.cycles), "{tag}");
+        assert_eq!(events.iter().map(|e| e.macs).sum::<u64>(), r.macs, "{tag}");
+    }
+
+    #[test]
+    fn grid_matches_the_walk_on_table1_layers() {
+        for net in workloads::all() {
+            for layer in net.conv_layers() {
+                for mut sys in [Systolic::dc_cnn(), Systolic::alexnet_config()] {
+                    assert_matches_the_walk(&mut sys, layer);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grid_matches_the_walk_on_random_layers() {
+        // Ragged M mod arrays, kernels on both sides of the array size,
+        // and step counts on both sides of the coalescer's event cap.
+        prop::check(
+            "systolic_grid_matches_the_walk_on_random_layers",
+            64,
+            (
+                (1usize..=40, 1usize..=12, 1usize..=10, 1usize..=8),
+                (1usize..=3, 1usize..=6, 1usize..=8),
+            ),
+            |&((m, n, s, k), (stride, ak, arrays))| {
+                let layer = ConvLayer::new("R", m, n, s, k).with_stride(stride);
+                assert_matches_the_walk(&mut Systolic::new(ak, arrays), &layer);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn grid_matches_the_walk_when_the_kernel_outgrows_the_array() {
+        // K=7 on 6×6 arrays: four sub-kernel passes per step, and a
+        // full m-group's 3·7·13²·7² MACs leave a remainder of 21 over
+        // its 7·36 cells, so the heatmap must repeat one m-group's split
+        // across the three full groups rather than split their total.
+        let layer = ConvLayer::new("K7", 23, 3, 13, 7);
+        assert_matches_the_walk(&mut Systolic::dc_cnn(), &layer);
+    }
 
     #[test]
     fn functional_matches_reference_small_layer() {

@@ -12,7 +12,7 @@
 //! form and charges the per-cycle operand streaming that makes this
 //! architecture's data volume the largest of the four (Fig. 17).
 
-use crate::common::{buffer_banks, cdiv, finish, Outcome};
+use crate::common::{cdiv, extent, Outcome, Shared, StepClass, StepGrid};
 use flexsim_arch::area::{AreaBreakdown, AreaModel, AreaSpec, InterconnectStyle};
 use flexsim_arch::energy::EnergyModel;
 use flexsim_arch::stats::{EventCounts, LayerResult, Traffic};
@@ -21,8 +21,8 @@ use flexsim_model::reference::apply_activation;
 use flexsim_model::tensor::KernelSet;
 use flexsim_model::{Acc32, ConvLayer, Tensor3};
 use flexsim_obs::attrib::StallCause;
-use flexsim_obs::cycles::{Coalescer, CycleEventKind, LayerCtx, SinkHandle};
-use flexsim_obs::spatial::{CellRect, HeatmapBuilder, SpatialHandle};
+use flexsim_obs::cycles::SinkHandle;
+use flexsim_obs::spatial::{CellRect, SpatialHandle};
 use flexsim_obs::telemetry;
 
 /// The Tiling baseline simulator.
@@ -44,9 +44,7 @@ use flexsim_obs::telemetry;
 pub struct TilingArray {
     tm: usize,
     tn: usize,
-    energy: EnergyModel,
-    sink: SinkHandle,
-    spatial: SpatialHandle,
+    shared: Shared,
 }
 
 impl TilingArray {
@@ -60,9 +58,7 @@ impl TilingArray {
         TilingArray {
             tm,
             tn,
-            energy: EnergyModel::tsmc65(),
-            sink: SinkHandle::none(),
-            spatial: SpatialHandle::none(),
+            shared: Shared::new(),
         }
     }
 
@@ -73,7 +69,7 @@ impl TilingArray {
 
     /// Replaces the energy model (for ablations).
     pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
+        self.shared.energy = energy;
         self
     }
 
@@ -135,11 +131,58 @@ impl TilingArray {
         out
     }
 
-    fn analyze(&self, layer: &ConvLayer) -> Outcome {
+    /// The layer's step grid: `⌈M / Tm⌉ × ⌈N / Tn⌉` steps, one pass per
+    /// `(m-tile, n-tile)`, its MACs the clamped lane product.
+    ///
+    /// Loss attribution per step uses the dominant residue component:
+    /// an output-lane clamp (`Tm_eff < Tm`) idles whole PE rows —
+    /// [`StallCause::EdgeFragmentation`] — while an input-lane clamp
+    /// (`Tn_eff < Tn`) leaves every active row's `Tn`-input adder tree
+    /// underfed — [`StallCause::AdderTreeContention`]. Corner tiles
+    /// clamp both ways; their whole residue goes to whichever component
+    /// is larger (row loss `(Tm−Tm_eff)·Tn` vs lane loss
+    /// `Tm_eff·(Tn−Tn_eff)` per cycle), documented in DESIGN.md §9.
+    ///
+    /// Spatially the heatmap rows are the `Tm` PEs and the columns
+    /// their `Tn` multiplier lanes; each pass lights the top-left
+    /// `Tm_eff × Tn_eff` corner, so a starved engine (M or N below 16)
+    /// shows as dark rows or lanes — Table 3's story per cell. The
+    /// per-PE adder trees are private and there is no CDB, so both
+    /// contention matrices stay empty.
+    fn grid(&self, layer: &ConvLayer) -> StepGrid {
+        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
+        let pass_cycles = (s * s * k * k) as u64;
+        StepGrid::new(cdiv(m, self.tm), cdiv(n, self.tn), |last_m, last_n| {
+            let tm_eff = extent(m, self.tm, last_m);
+            let tn_eff = extent(n, self.tn, last_n);
+            let row_loss = (self.tm - tm_eff) * self.tn;
+            let lane_loss = tm_eff * (self.tn - tn_eff);
+            StepClass {
+                stalls: Vec::new(),
+                cause: if lane_loss > row_loss {
+                    StallCause::AdderTreeContention
+                } else {
+                    StallCause::EdgeFragmentation
+                },
+                pass_cycles,
+                macs: (tm_eff * tn_eff) as u64 * pass_cycles,
+                rects: vec![CellRect {
+                    row: 0,
+                    col: 0,
+                    rows: tm_eff,
+                    cols: tn_eff,
+                }],
+            }
+        })
+    }
+
+    /// The layer's grid and its closed-form cost: cycles from the grid,
+    /// traffic and events counted alongside.
+    fn analyze(&self, layer: &ConvLayer) -> (StepGrid, Outcome) {
+        let grid = self.grid(layer);
         let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
         let m_tiles = cdiv(m, self.tm) as u64;
-        let n_tiles = cdiv(n, self.tn) as u64;
-        let cycles = m_tiles * n_tiles * (s * s * k * k) as u64;
+        let cycles = grid.cycles();
         let macs = layer.macs();
 
         // Per cycle: Tn neurons + Tm·Tn synapses stream from the buffers
@@ -169,110 +212,13 @@ impl TilingArray {
             bus_words: neuron_in,
             ..Default::default()
         };
-        Outcome {
+        let outcome = Outcome {
             cycles,
             macs,
             events,
             traffic,
-        }
-    }
-
-    /// Emits the layer's cycle-domain timeline: one `Pass` per
-    /// `(m-tile, n-tile)` step, its MACs the clamped lane product —
-    /// exactly the analytic schedule, so trace totals match
-    /// [`Self::analyze`].
-    ///
-    /// Loss attribution per step uses the dominant residue component:
-    /// an output-lane clamp (`Tm_eff < Tm`) idles whole PE rows —
-    /// [`StallCause::EdgeFragmentation`] — while an input-lane clamp
-    /// (`Tn_eff < Tn`) leaves every active row's `Tn`-input adder tree
-    /// underfed — [`StallCause::AdderTreeContention`]. Corner tiles
-    /// clamp both ways; their whole residue goes to whichever component
-    /// is larger (row loss `(Tm−Tm_eff)·Tn` vs lane loss
-    /// `Tm_eff·(Tn−Tn_eff)` per cycle), documented in DESIGN.md §9.
-    fn emit_cycle_events(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let m_tiles = cdiv(m, self.tm);
-        let n_tiles = cdiv(n, self.tn);
-        let pass_cycles = (s * s * k * k) as u64;
-        self.sink.begin_layer(&LayerCtx::new(
-            self.name(),
-            layer.name(),
-            self.pe_count() as u32,
-        ));
-        let mut co = Coalescer::new(&self.sink, (m_tiles * n_tiles) as u64);
-        for mt in 0..m_tiles {
-            let tm_eff = self.tm.min(m - mt * self.tm) as u64;
-            for nt in 0..n_tiles {
-                let tn_eff = self.tn.min(n - nt * self.tn) as u64;
-                let row_loss = (self.tm as u64 - tm_eff) * self.tn as u64;
-                let lane_loss = tm_eff * (self.tn as u64 - tn_eff);
-                let residue_cause = if lane_loss > row_loss {
-                    StallCause::AdderTreeContention
-                } else {
-                    StallCause::EdgeFragmentation
-                };
-                co.push(
-                    CycleEventKind::Pass(residue_cause),
-                    pass_cycles,
-                    tm_eff * tn_eff * pass_cycles,
-                );
-                co.step();
-            }
-        }
-        let totals = co.finish();
-        debug_assert_eq!(
-            totals.cycles, total_cycles,
-            "trace cycles diverge from analyze"
-        );
-        debug_assert_eq!(
-            totals.macs,
-            layer.macs(),
-            "trace MACs diverge from analyze (flexcheck FXC09 attribution-exactness)"
-        );
-        self.sink.end_layer();
-    }
-
-    /// Emits the layer's spatial record: the heatmap rows are the `Tm`
-    /// PEs and the columns their `Tn` multiplier lanes. Each
-    /// `(m-tile, n-tile)` pass lights the top-left `Tm_eff × Tn_eff`
-    /// corner, so a starved engine (M or N below 16) shows as dark rows
-    /// or lanes — Table 3's story per cell. Cell sums reproduce the
-    /// ledger exactly (flexcheck FXC13). The per-PE adder trees are
-    /// private and there is no CDB, so both contention matrices stay
-    /// empty.
-    fn emit_spatial(&self, layer: &ConvLayer, total_cycles: u64) {
-        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
-        let m_tiles = cdiv(m, self.tm);
-        let n_tiles = cdiv(n, self.tn);
-        let pass_cycles = (s * s * k * k) as u64;
-        let mut hb = HeatmapBuilder::new(self.name(), layer.name(), self.tm, self.tn, total_cycles);
-        for mt in 0..m_tiles {
-            let tm_eff = self.tm.min(m - mt * self.tm);
-            for nt in 0..n_tiles {
-                let tn_eff = self.tn.min(n - nt * self.tn);
-                let row_loss = (self.tm - tm_eff) * self.tn;
-                let lane_loss = tm_eff * (self.tn - tn_eff);
-                let residue_cause = if lane_loss > row_loss {
-                    StallCause::AdderTreeContention
-                } else {
-                    StallCause::EdgeFragmentation
-                };
-                hb.pass(
-                    residue_cause,
-                    &[CellRect {
-                        row: 0,
-                        col: 0,
-                        rows: tm_eff,
-                        cols: tn_eff,
-                    }],
-                    pass_cycles,
-                    (tm_eff * tn_eff) as u64 * pass_cycles,
-                );
-            }
-        }
-        buffer_banks(&mut hb, layer, total_cycles);
-        self.spatial.record_layer(hb.finish());
+        };
+        (grid, outcome)
     }
 
     fn area_spec(&self) -> AreaSpec {
@@ -297,33 +243,20 @@ impl Accelerator for TilingArray {
     }
 
     fn run_conv(&mut self, layer: &ConvLayer) -> LayerResult {
-        let outcome = {
+        let analyzed = {
             let _schedule = telemetry::phase(telemetry::Phase::Schedule);
             self.analyze(layer)
         };
-        if self.sink.enabled() {
-            self.emit_cycle_events(layer, outcome.cycles);
-        }
-        if self.spatial.enabled() {
-            self.emit_spatial(layer, outcome.cycles);
-        }
-        let area = self.area().total_mm2();
-        finish(
-            self.name(),
-            layer,
-            self.pe_count(),
-            outcome,
-            &self.energy,
-            area,
-        )
+        self.shared
+            .finish(self, layer, (self.tm, self.tn), analyzed)
     }
 
     fn attach_sink(&mut self, sink: SinkHandle) {
-        self.sink = sink;
+        self.shared.sink = sink;
     }
 
     fn attach_spatial(&mut self, sink: SpatialHandle) {
-        self.spatial = sink;
+        self.shared.spatial = sink;
     }
 
     fn area(&self) -> AreaBreakdown {
@@ -334,8 +267,123 @@ impl Accelerator for TilingArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{buffer_banks, record_one};
     use flexsim_model::reference;
     use flexsim_model::workloads;
+    use flexsim_obs::cycles::{Coalescer, CycleEvent, CycleEventKind, CycleRecorder, LayerCtx};
+    use flexsim_obs::spatial::{HeatmapBuilder, LayerSpatial};
+    use flexsim_testkit::prop;
+    use std::sync::Arc;
+
+    /// The timeline as the walking emitter produced it: one coalescer
+    /// step per `(m-tile, n-tile)`.
+    fn walked_timeline(t: &TilingArray, layer: &ConvLayer) -> Vec<CycleEvent> {
+        let rec = Arc::new(CycleRecorder::new());
+        let sink = SinkHandle::new(rec.clone());
+        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
+        let m_tiles = cdiv(m, t.tm);
+        let n_tiles = cdiv(n, t.tn);
+        let pass_cycles = (s * s * k * k) as u64;
+        sink.begin_layer(&LayerCtx::new(t.name(), layer.name(), t.pe_count() as u32));
+        let mut co = Coalescer::new(&sink, (m_tiles * n_tiles) as u64);
+        for mt in 0..m_tiles {
+            let tm_eff = t.tm.min(m - mt * t.tm) as u64;
+            for nt in 0..n_tiles {
+                let tn_eff = t.tn.min(n - nt * t.tn) as u64;
+                let row_loss = (t.tm as u64 - tm_eff) * t.tn as u64;
+                let lane_loss = tm_eff * (t.tn as u64 - tn_eff);
+                let residue_cause = if lane_loss > row_loss {
+                    StallCause::AdderTreeContention
+                } else {
+                    StallCause::EdgeFragmentation
+                };
+                co.push(
+                    CycleEventKind::Pass(residue_cause),
+                    pass_cycles,
+                    tm_eff * tn_eff * pass_cycles,
+                );
+                co.step();
+            }
+        }
+        co.finish();
+        sink.end_layer();
+        rec.take().remove(0).events
+    }
+
+    /// The heatmap as the walking emitter produced it: one pass per
+    /// `(m-tile, n-tile)`.
+    fn walked_spatial(t: &TilingArray, layer: &ConvLayer, total_cycles: u64) -> LayerSpatial {
+        let (m, n, s, k) = (layer.m(), layer.n(), layer.s(), layer.k());
+        let m_tiles = cdiv(m, t.tm);
+        let n_tiles = cdiv(n, t.tn);
+        let pass_cycles = (s * s * k * k) as u64;
+        let mut hb = HeatmapBuilder::new(t.name(), layer.name(), t.tm, t.tn, total_cycles);
+        for mt in 0..m_tiles {
+            let tm_eff = t.tm.min(m - mt * t.tm);
+            for nt in 0..n_tiles {
+                let tn_eff = t.tn.min(n - nt * t.tn);
+                let row_loss = (t.tm - tm_eff) * t.tn;
+                let lane_loss = tm_eff * (t.tn - tn_eff);
+                let residue_cause = if lane_loss > row_loss {
+                    StallCause::AdderTreeContention
+                } else {
+                    StallCause::EdgeFragmentation
+                };
+                hb.pass(
+                    residue_cause,
+                    &[CellRect {
+                        row: 0,
+                        col: 0,
+                        rows: tm_eff,
+                        cols: tn_eff,
+                    }],
+                    pass_cycles,
+                    (tm_eff * tn_eff) as u64 * pass_cycles,
+                    1,
+                );
+            }
+        }
+        buffer_banks(&mut hb, layer, total_cycles);
+        hb.finish()
+    }
+
+    /// Records `layer` and checks its timeline event by event and its
+    /// heatmap cell by cell against the walking oracles.
+    fn assert_matches_the_walk(t: &mut TilingArray, layer: &ConvLayer) {
+        let (r, events, spatial) = record_one(t, layer);
+        let tag = format!("{}/{}x{}", layer.name(), t.tm, t.tn);
+        assert_eq!(events, walked_timeline(t, layer), "{tag}");
+        assert_eq!(spatial, walked_spatial(t, layer, r.cycles), "{tag}");
+        assert_eq!(events.iter().map(|e| e.macs).sum::<u64>(), r.macs, "{tag}");
+    }
+
+    #[test]
+    fn grid_matches_the_walk_on_table1_layers() {
+        for net in workloads::all() {
+            for layer in net.conv_layers() {
+                assert_matches_the_walk(&mut TilingArray::diannao(), layer);
+            }
+        }
+    }
+
+    #[test]
+    fn grid_matches_the_walk_on_random_layers() {
+        // Ragged M mod Tm and N mod Tn, so corner tiles go to either
+        // cause, and tile counts on both sides of the coalescer's cap.
+        prop::check(
+            "tiling_grid_matches_the_walk_on_random_layers",
+            64,
+            (
+                (1usize..=60, 1usize..=60, 1usize..=6, 1usize..=4),
+                (1usize..=16, 1usize..=16),
+            ),
+            |&((m, n, s, k), (tm, tn))| {
+                let layer = ConvLayer::new("R", m, n, s, k);
+                assert_matches_the_walk(&mut TilingArray::new(tm, tn), &layer);
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn functional_matches_reference_small_layer() {

@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the simulation kernels themselves: the golden
 //! reference convolution, the cycle-stepped FlexFlow PE array, the
 //! baselines' functional pipelines, the factor search, the analytic
-//! schedule, and FlexFlow's recorded cycle timeline against its plain
-//! cost model on a large layer. These gate the cost of the repository's own machinery (not
-//! a paper figure).
+//! schedule, and each architecture's recorded cycle timeline against
+//! its plain cost model on a large layer. These gate the cost of the
+//! repository's own machinery (not a paper figure).
 
 use flexflow::analytic::schedule_default;
 use flexflow::array::PeArray;
@@ -85,6 +85,40 @@ fn bench(c: &mut Harness) {
             black_box(rec.take())
         });
     });
+
+    // The same for the baselines, each on a layer whose step grid is
+    // tens of thousands of steps: 147 m-groups × 1024 input maps,
+    // 256 × 256 output tiles, 256 × 256 (m-tile, n-tile) pairs.
+    let baselines: [(&str, Box<dyn Accelerator>, ConvLayer); 3] = [
+        (
+            "systolic",
+            Box::new(Systolic::dc_cnn()),
+            ConvLayer::new("L", 1024, 1024, 56, 3),
+        ),
+        (
+            "mapping2d",
+            Box::new(Mapping2d::shidiannao()),
+            ConvLayer::new("L", 16, 16, 4096, 3),
+        ),
+        (
+            "tiling",
+            Box::new(TilingArray::diannao()),
+            ConvLayer::new("L", 4096, 4096, 14, 3),
+        ),
+    ];
+    for (arch, mut acc, layer) in baselines {
+        group.bench_function(&format!("{arch}_record_plain"), |b| {
+            b.iter(|| black_box(acc.run_conv(&layer)));
+        });
+        group.bench_function(&format!("{arch}_record_recorded"), |b| {
+            b.iter(|| {
+                let rec = Arc::new(CycleRecorder::new());
+                acc.attach_sink(SinkHandle::new(rec.clone()));
+                black_box(acc.run_conv(&layer));
+                black_box(rec.take())
+            });
+        });
+    }
 
     group.finish();
 }

@@ -6,7 +6,7 @@
 //! network to the [`crate::isa`] instruction stream the on-chip decoder
 //! executes.
 
-use crate::isa::Instr;
+use crate::isa::{Instr, MAX_LAYERS};
 use flexsim_dataflow::search::{best_unroll, plan_network, LayerChoice};
 use flexsim_model::{Layer, Network};
 use std::fmt;
@@ -122,14 +122,14 @@ impl Compiler {
     /// layers (the ISA's 8-bit layer index).
     pub fn compile(&self, net: &Network) -> Program {
         assert!(
-            net.layers().len() <= 256,
-            "ISA supports at most 256 layers per program"
+            net.layers().len() <= MAX_LAYERS,
+            "ISA supports at most {MAX_LAYERS} layers per program"
         );
         let mut conv_plan = plan_network(net, self.d).into_iter();
         let mut choices = Vec::new();
         let mut instrs = Vec::new();
         for step in net.steps() {
-            let layer_u8 = step.index as u8;
+            let layer_u8 = u8::try_from(step.index).expect("layer count checked above");
             match step.layer {
                 Layer::Conv(_) => {
                     // Invariant: `plan_network` returns one choice per

@@ -176,6 +176,7 @@ impl FlexFlow {
             }],
             sch.row_batches * sch.chunks,
             sch.macs,
+            1,
         );
         if sch.segments > 1 {
             hb.stall(

@@ -13,6 +13,10 @@
 use flexsim_dataflow::Unroll;
 use std::fmt;
 
+/// The most layers one program can address: every layer-bearing
+/// instruction carries an 8-bit layer index (`[59:52]`).
+pub const MAX_LAYERS: usize = 1 << 8;
+
 /// One decoded instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Instr {

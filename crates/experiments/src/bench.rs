@@ -27,7 +27,6 @@
 use crate::arches::{ArchSet, ARCH_NAMES};
 use crate::cli::Cli;
 use crate::experiment::{run_suite, Experiment, ExperimentCtx, SuiteConfig};
-use crate::tune::VerifyMode;
 use crate::REGISTRY;
 use flexsim_model::workloads;
 use flexsim_obs::attrib::{ledgers, StallCause};
@@ -129,10 +128,9 @@ fn sweep(cli: &Cli) -> i32 {
 /// also records the host-phase wall breakdown and the measured
 /// telemetry overhead, keeping the "telemetry is ≈free" claim gated
 /// the same way wall-time regressions are. The entry also times the
-/// smoke-budget tuner twice (engine verification vs `--static`
-/// symbolic verification — the log is where the static path's speedup
-/// is recorded) and the flexproof all-pairs sweep; a prove mismatch
-/// refuses to record, keeping the history free of unproved entries.
+/// smoke-budget tuner and the flexproof all-pairs sweep; a prove
+/// mismatch refuses to record, keeping the history free of unproved
+/// entries.
 fn history(cli: &Cli) -> i32 {
     let experiments = sweep_experiments();
     let jobs = cli.jobs.unwrap_or_else(flexsim_pool::available_parallelism);
@@ -146,15 +144,8 @@ fn history(cli: &Cli) -> i32 {
     };
     let attrib = attribution_totals();
     let tune_start = Instant::now();
-    let tune = crate::tune::sweep_totals_with(jobs, VerifyMode::Engine);
+    let tune = crate::tune::sweep_totals(jobs);
     let tune_wall_s = tune_start.elapsed().as_secs_f64();
-    let static_start = Instant::now();
-    let tune_static = crate::tune::sweep_totals_with(jobs, VerifyMode::Static);
-    let tune_static_wall_s = static_start.elapsed().as_secs_f64();
-    assert_eq!(
-        tune.recovered_pe_cycles, tune_static.recovered_pe_cycles,
-        "static tuner verification diverged from the engine path"
-    );
     let prove_start = Instant::now();
     let prove_ctx = ExperimentCtx::parallel("prove", jobs);
     let proofs = crate::prove::run_workloads(&prove_ctx, &workloads::all(), false);
@@ -168,7 +159,6 @@ fn history(cli: &Cli) -> i32 {
     }
     let timings = SweepTimings {
         tune_wall_s,
-        tune_static_wall_s,
         prove_pairs: proofs.len(),
         prove_wall_s,
     };
@@ -410,12 +400,10 @@ fn attribution_totals() -> AttributionTotals {
 }
 
 /// Wall times of the verification sweeps a history entry records
-/// alongside the experiment sweep: the tuner with engine verification,
-/// the tuner with static (symbolic) verification, and the flexproof
+/// alongside the experiment sweep: the tuner and the flexproof
 /// all-pairs proof sweep.
 struct SweepTimings {
     tune_wall_s: f64,
-    tune_static_wall_s: f64,
     prove_pairs: usize,
     prove_wall_s: f64,
 }
@@ -545,10 +533,6 @@ fn history_entry(
                 Json::Int(tune.workloads_improved as i64),
             ),
             ("tune_wall_s", Json::Float(timings.tune_wall_s)),
-            (
-                "tune_static_wall_s",
-                Json::Float(timings.tune_static_wall_s),
-            ),
             ("prove_pairs", Json::Int(timings.prove_pairs as i64)),
             ("prove_wall_s", Json::Float(timings.prove_wall_s)),
             (
@@ -640,7 +624,6 @@ mod tests {
         };
         let timings = SweepTimings {
             tune_wall_s: 3.5,
-            tune_static_wall_s: 0.25,
             prove_pairs: 24,
             prove_wall_s: 0.75,
         };
@@ -673,9 +656,10 @@ mod tests {
             Some(0.5)
         );
         assert_eq!(
-            json_field(&parsed, "tune_static_wall_s").and_then(json_f64),
-            Some(0.25)
+            json_field(&parsed, "tune_wall_s").and_then(json_f64),
+            Some(3.5)
         );
+        assert_eq!(json_field(&parsed, "tune_static_wall_s"), None);
         assert_eq!(json_field(&parsed, "prove_pairs"), Some(&Json::Int(24)));
         assert_eq!(
             json_field(&parsed, "prove_wall_s").and_then(json_f64),

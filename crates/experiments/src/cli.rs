@@ -11,10 +11,10 @@ usage: flexsim [OPTIONS] [EXPERIMENT-ID...]
        flexsim run WORKLOAD|PATH.ffnet [--json] [--jobs N]
        flexsim heatmap WORKLOAD|PATH.ffnet [--arch A] [--json|--svg] [--jobs N]
        flexsim workloads [--json]
-       flexsim lint [--json]
+       flexsim lint [WORKLOAD] [--json]
        flexsim profile [WORKLOAD] [--json]
        flexsim prove [WORKLOAD] [--json] [--mutate] [--jobs N]
-       flexsim tune [WORKLOAD] [--budget smoke|full|N] [--static] [--jobs N]
+       flexsim tune [WORKLOAD] [--budget smoke|full|N] [--jobs N]
        flexsim stats [--jobs N] [--json] [--telemetry PATH]
        flexsim bench sweep [--jobs N]
        flexsim bench history [--jobs N]
@@ -33,7 +33,9 @@ architectures (Systolic, 2D-Mapping, Tiling, FlexFlow) at the paper
 scale: cycles, utilization, and lost PE-cycles per architecture, with
 every loss ledger checked against the FXC09 exactness identity.
 Unresolvable references (unknown name, unreadable file, or a `.ffnet`
-parse/shape error with line and path context) exit 2.
+parse/shape error with line and path context) exit 2, in every
+subcommand, as do networks of more than 256 layers (the most one
+FlexFlow program can address).
 
 `flexsim heatmap WORKLOAD|PATH.ffnet` simulates one workload with the
 spatial sink attached and renders per-PE utilization heatmaps (one per
@@ -49,13 +51,13 @@ document; `--svg` an SVG rendering. Output is byte-identical at every
 `flexsim workloads` lists every resolvable workload — built-ins plus
 `examples/*.ffnet` — with layer, CONV-MAC, and parameter counts.
 
-`flexsim lint` statically verifies every Table 1 workload on all four
-architectures with the flexcheck rules (FXC01-FXC13: local-store
-capacity, bus races, adder-tree ports, FSM bounds, ISA protocol,
-unroll bounds, bank conflicts, utilization sanity, attribution
-exactness, cycle exactness, ISA coverage, interference freedom,
-spatial exactness) and
-exits non-zero on any error. The same check also gates every
+`flexsim lint [WORKLOAD]` statically verifies every Table 1 workload
+(or the one named) on all four architectures with the flexcheck rules
+(FXC01-FXC13: local-store capacity, bus races, adder-tree ports, FSM
+bounds, ISA protocol, unroll bounds, bank conflicts, utilization
+sanity, attribution exactness, cycle exactness, ISA coverage,
+interference freedom, spatial exactness) and exits non-zero on any
+error. The same check also gates every
 simulation. `--json` emits the findings as a byte-stable structured
 document instead of the text table.
 
@@ -80,9 +82,6 @@ before any simulation, scored in parallel with the exact loss-ledger
 cost function, and the winners verified on the cycle-stepped engine.
 Prints the best-mapping table with before/after loss attribution per
 cause; with no workload, tunes all six and writes BENCH_tune.json.
-`--static` ranks candidates symbolically and engine-verifies the
-winners only — the FXC10 proof guarantees the same winners and deltas
-at a fraction of the simulation time.
 
 `flexsim stats` runs the Table 1 sweep with host-side telemetry
 enabled and reports where *simulator* wall time goes: per-phase
@@ -114,8 +113,6 @@ options:
   --budget B      tune search budget: `smoke` (power-of-two grid),
                   `full` (exhaustive, the default), or a positive
                   per-layer candidate cap
-  --static        tune: keep the baseline side symbolic and
-                  engine-verify only the winners
   --mutate        prove: perturb the first prediction by one cycle and
                   require the mismatch to be caught (exit non-zero)
   --json          machine-readable JSON on stdout
@@ -170,8 +167,6 @@ pub struct Cli {
     pub tune: bool,
     /// Run the symbolic cycle/ledger prover instead of any experiment.
     pub prove: bool,
-    /// `tune --static`: symbolic baseline, engine-verify winners only.
-    pub static_verify: bool,
     /// `prove --mutate`: corrupt one prediction to self-test the gate.
     pub mutate: bool,
     /// Run the host-telemetry report instead of any experiment.
@@ -228,7 +223,6 @@ pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Cli, String> {
             "tune" => cli.tune = true,
             "prove" => cli.prove = true,
             "stats" => cli.stats = true,
-            "--static" => cli.static_verify = true,
             "--mutate" => cli.mutate = true,
             "--svg" => cli.svg = true,
             "--arch" => cli.arch = Some(value_of(&mut iter, "--arch", "an architecture name")?),
@@ -501,12 +495,12 @@ mod tests {
     }
 
     #[test]
-    fn tune_static_is_a_flag() {
-        let cli = p(&["tune", "pv", "--static", "--budget", "smoke"]).unwrap();
-        assert!(cli.tune && cli.static_verify);
-        assert_eq!(cli.ids, ["pv"]);
-        assert_eq!(cli.budget, Some(crate::tune::Budget::Smoke));
-        assert!(!p(&["tune"]).unwrap().static_verify);
+    fn tune_static_is_an_unknown_flag() {
+        // The symbolic default side is tune's only path, so `--static`
+        // is an unknown option like any other: `flexsim` prints it with
+        // the usage text and exits 2.
+        let err = p(&["tune", "pv", "--static", "--budget", "smoke"]).unwrap_err();
+        assert_eq!(err, "unknown option \"--static\"");
     }
 
     #[test]

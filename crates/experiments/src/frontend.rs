@@ -11,12 +11,15 @@
 //!   `--json`.
 //!
 //! Resolution failures — unknown names, unreadable files, `.ffnet`
-//! parse or shape errors — are usage errors (exit 2) with the parser's
-//! line/path diagnostic passed through verbatim.
+//! parse or shape errors, networks too long for one FlexFlow program —
+//! are usage errors (exit 2) with the parser's line/path diagnostic
+//! passed through verbatim. Every subcommand resolves through
+//! [`resolve`].
 
 use crate::arches::{ArchSet, ARCH_NAMES};
 use crate::cli::Cli;
 use crate::report::{pct, Table};
+use flexflow::isa::MAX_LAYERS;
 use flexsim_model::registry::{param_count, WorkloadSource};
 use flexsim_model::{Network, WorkloadRegistry};
 use flexsim_obs::attrib::{ledgers, StallCause};
@@ -33,6 +36,33 @@ pub fn registry() -> WorkloadRegistry {
     WorkloadRegistry::new().with_dir(EXAMPLES_DIR)
 }
 
+/// Resolves a workload reference through [`registry`] and [`admit`]s
+/// it. Every subcommand resolves through here, so all of them give one
+/// verdict on one file.
+///
+/// # Errors
+///
+/// The resolution or admission diagnostic, as one line.
+pub fn resolve(reference: &str) -> Result<Network, String> {
+    admit(
+        reference,
+        registry().resolve(reference).map_err(|e| e.to_string())?,
+    )
+}
+
+/// Admits a resolved network: it must fit one FlexFlow program, at most
+/// [`MAX_LAYERS`] layers (the ISA's 8-bit layer index).
+fn admit(reference: &str, net: Network) -> Result<Network, String> {
+    let layers = net.layers().len();
+    if layers > MAX_LAYERS {
+        return Err(format!(
+            "{reference}: {layers} layers exceed the {MAX_LAYERS} one FlexFlow program can \
+             address (8-bit layer index)"
+        ));
+    }
+    Ok(net)
+}
+
 /// `flexsim run WORKLOAD|PATH.ffnet`: one workload on all four
 /// architectures. Returns the process exit code (0 ok, 1 on a ledger
 /// exactness failure, 2 on a resolution/usage error) and the recorded
@@ -42,7 +72,7 @@ pub fn run(cli: &Cli) -> (i32, Vec<LayerTimeline>) {
         eprintln!("flexsim: run takes exactly one workload name or .ffnet path");
         return (2, Vec::new());
     };
-    let net = match registry().resolve(reference) {
+    let net = match resolve(reference) {
         Ok(net) => net,
         Err(e) => {
             eprintln!("flexsim: {e}");
@@ -167,7 +197,7 @@ fn run_json(net: &Network, reference: &str, rows: &[ArchRow]) -> Json {
 
 /// `flexsim workloads`: the registry listing with per-workload layer,
 /// MAC, and parameter counts. Returns the process exit code (always 0;
-/// unparseable `.ffnet` files are listed with their diagnostic rather
+/// unresolvable `.ffnet` files are listed with their diagnostic rather
 /// than failing the listing).
 pub fn workloads(cli: &Cli) -> i32 {
     if !cli.ids.is_empty() {
@@ -179,17 +209,17 @@ pub fn workloads(cli: &Cli) -> i32 {
         .entries()
         .into_iter()
         .map(|entry| {
-            let (source, resolved) = match &entry.source {
-                WorkloadSource::Builtin => (
-                    "builtin".to_owned(),
-                    reg.resolve(&entry.name).map_err(|e| e.to_string()),
-                ),
-                WorkloadSource::File(path) => (
-                    path.display().to_string(),
-                    reg.resolve(&path.display().to_string())
-                        .map_err(|e| e.to_string()),
-                ),
+            let (source, reference) = match &entry.source {
+                WorkloadSource::Builtin => ("builtin".to_owned(), entry.name.clone()),
+                WorkloadSource::File(path) => {
+                    let path = path.display().to_string();
+                    (path.clone(), path)
+                }
             };
+            let resolved = reg
+                .resolve(&reference)
+                .map_err(|e| e.to_string())
+                .and_then(|net| admit(&reference, net));
             EntryRow {
                 name: entry.name,
                 aliases: entry.aliases.iter().map(|a| (*a).to_owned()).collect(),
@@ -243,7 +273,7 @@ fn workloads_text(rows: &[EntryRow]) -> String {
                 r.source.clone(),
                 "-".to_owned(),
                 "-".to_owned(),
-                format!("unparseable: {e}"),
+                format!("unresolvable: {e}"),
             ]),
         }
     }

@@ -57,7 +57,7 @@ pub fn heatmap(cli: &Cli) -> i32 {
         eprintln!("flexsim: heatmap takes exactly one workload name or .ffnet path");
         return 2;
     };
-    let net = match crate::frontend::registry().resolve(reference) {
+    let net = match crate::frontend::resolve(reference) {
         Ok(net) => net,
         Err(e) => {
             eprintln!("flexsim: {e}");

@@ -17,13 +17,13 @@
 //! flexsim heatmap lenet          # per-PE heatmaps + bank watermarks (FXC13-gated)
 //! flexsim heatmap pv --svg       # ... as an SVG document on stdout
 //! flexsim lint                   # static verification sweep
+//! flexsim lint net.ffnet         # ... of one workload on the four architectures
 //! flexsim lint --json            # same findings, byte-stable structured JSON
 //! flexsim profile alexnet        # per-layer loss attribution + roofline
 //! flexsim prove                  # prove cycles/ledgers symbolically (FXC10)
 //! flexsim prove pv --mutate      # self-test: a corrupted prediction must fail
 //! flexsim tune alexnet           # auto-tune mappings, before/after attribution
 //! flexsim tune --budget smoke    # tune all six workloads, write BENCH_tune.json
-//! flexsim tune pv --static       # symbolic baseline, engine-verify winners only
 //! flexsim bench sweep            # time serial vs parallel, BENCH_pool.json
 //! flexsim bench history          # append wall time + attribution to BENCH_history.jsonl
 //! flexsim bench check            # fail on wall-time regression vs the history
@@ -83,14 +83,18 @@ fn main() {
     }
     flexsim_experiments::lint::set_enabled(!cli.no_lint);
     if cli.lint {
+        let nets = match resolve_workloads(&cli, "lint") {
+            Ok(nets) => nets,
+            Err(code) => std::process::exit(code),
+        };
         let errors = if cli.json {
-            let (doc, errors) = flexsim_experiments::lint::json_report();
+            let (doc, errors) = flexsim_experiments::lint::json_report(&nets);
             let mut text = doc.pretty();
             text.push('\n');
             print!("{text}");
             errors
         } else {
-            let (result, errors) = flexsim_experiments::lint::run();
+            let (result, errors) = flexsim_experiments::lint::run(&nets);
             emit(vec![result], false);
             errors
         };
@@ -260,7 +264,7 @@ fn select(cli: &Cli) -> Vec<&'static dyn Experiment> {
 /// roofline report for one Table 1 workload.
 fn profile_workload(cli: &Cli) {
     let name = &cli.ids[1];
-    let net = match flexsim_experiments::frontend::registry().resolve(name) {
+    let net = match flexsim_experiments::frontend::resolve(name) {
         Ok(net) => net,
         Err(e) => {
             eprintln!("flexsim: {e}");
@@ -286,7 +290,7 @@ fn profile_workload(cli: &Cli) {
 fn resolve_workloads(cli: &Cli, cmd: &str) -> Result<Vec<flexsim_model::Network>, i32> {
     match cli.ids.len() {
         0 => Ok(flexsim_model::workloads::all()),
-        1 => match flexsim_experiments::frontend::registry().resolve(&cli.ids[0]) {
+        1 => match flexsim_experiments::frontend::resolve(&cli.ids[0]) {
             Ok(net) => Ok(vec![net]),
             Err(e) => {
                 eprintln!("flexsim: {e}");
@@ -303,20 +307,15 @@ fn resolve_workloads(cli: &Cli, cmd: &str) -> Result<Vec<flexsim_model::Network>
 /// `flexsim tune [WORKLOAD]`: the mapping auto-tuner. With no workload
 /// it tunes the full Table 1 sweep and records `BENCH_tune.json`.
 fn tune_workload(cli: &Cli) -> i32 {
-    use flexsim_experiments::tune::{self, Budget, VerifyMode};
+    use flexsim_experiments::tune::{self, Budget};
     let budget = cli.budget.unwrap_or(Budget::Full);
-    let mode = if cli.static_verify {
-        VerifyMode::Static
-    } else {
-        VerifyMode::Engine
-    };
     let nets = match resolve_workloads(cli, "tune") {
         Ok(nets) => nets,
         Err(code) => return code,
     };
     let jobs = cli.jobs.unwrap_or_else(flexsim_pool::available_parallelism);
     let ctx = flexsim_experiments::ExperimentCtx::parallel("tune", jobs);
-    let outcomes = tune::tune_workloads_with(&ctx, &nets, budget, mode);
+    let outcomes = tune::tune_workloads(&ctx, &nets, budget);
     if cli.ids.is_empty() {
         // Full-sweep runs are the recorded benchmark.
         let mut text = tune::bench_json(&outcomes, budget).pretty();

@@ -108,30 +108,6 @@ impl fmt::Display for Budget {
     }
 }
 
-/// How `flexsim tune` verifies its before/after ledgers on the
-/// cycle-stepped engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VerifyMode {
-    /// Re-run both the paper-default and the tuned mapping on the
-    /// engine (the CLI default).
-    Engine,
-    /// `--static`: keep the default side symbolic ([`analytic_ledger`],
-    /// which `FXC10` proves equal to the engine's emission) and
-    /// engine-verify the winners only — half the simulation work, the
-    /// same winners and deltas by the cycle-exactness proof.
-    Static,
-}
-
-impl VerifyMode {
-    /// The display form (`engine` / `static`) for reports and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            VerifyMode::Engine => "engine",
-            VerifyMode::Static => "static",
-        }
-    }
-}
-
 /// The registry entry (not part of the sweep): `flexsim tune` at the
 /// smoke budget over every Table 1 workload.
 pub struct Tune;
@@ -394,22 +370,6 @@ struct ScoreItem {
 /// divergence, a tuned mapping scoring worse than the default, or the
 /// assembled program failing flexcheck).
 pub fn tune_network(ctx: &ExperimentCtx, net: &Network, budget: Budget) -> TuneOutcome {
-    tune_network_with(ctx, net, budget, VerifyMode::Engine)
-}
-
-/// [`tune_network`] with an explicit verification mode:
-/// [`VerifyMode::Static`] scores and baselines symbolically and
-/// engine-verifies the winners only.
-///
-/// # Panics
-///
-/// Same contract as [`tune_network`].
-pub fn tune_network_with(
-    ctx: &ExperimentCtx,
-    net: &Network,
-    budget: Budget,
-    mode: VerifyMode,
-) -> TuneOutcome {
     let arch = ArchParams::flexflow_paper();
     let defaults = paper_defaults(net);
     let plan = plan_network(net, D);
@@ -474,10 +434,10 @@ pub fn tune_network_with(
         }
     }
 
-    // Verification: the cycle-stepped engine re-runs the winner (and,
-    // in engine mode, the default too); recorded must equal analytic
-    // on every cause. In static mode the default side stays symbolic —
-    // FXC10 proves the two bases identical, so the deltas are too.
+    // Verification: the cycle-stepped engine re-runs the winner, whose
+    // recorded ledger must equal the analytic one on every cause. The
+    // default side stays symbolic: the two are equal by the same check
+    // (tested on every paper default), so the deltas are too.
     struct VerifyItem {
         layer: ConvLayer,
         default_u: Unroll,
@@ -495,12 +455,11 @@ pub fn tune_network_with(
     let verified: Vec<(LossLedger, LossLedger)> = ctx.map(
         vitems,
         |it| format!("{}/verify", it.layer.name()),
-        move |_tctx, it: VerifyItem| {
-            let before = match mode {
-                VerifyMode::Engine => recorded_ledger(&it.layer, it.default_u),
-                VerifyMode::Static => analytic_ledger(&it.layer, it.default_u),
-            };
-            (before, recorded_ledger(&it.layer, it.tuned_u))
+        |_tctx, it: VerifyItem| {
+            (
+                analytic_ledger(&it.layer, it.default_u),
+                recorded_ledger(&it.layer, it.tuned_u),
+            )
         },
     );
 
@@ -554,18 +513,8 @@ pub fn tune_network_with(
 
 /// Tunes a list of workloads in order (each fans internally).
 pub fn tune_workloads(ctx: &ExperimentCtx, nets: &[Network], budget: Budget) -> Vec<TuneOutcome> {
-    tune_workloads_with(ctx, nets, budget, VerifyMode::Engine)
-}
-
-/// [`tune_workloads`] with an explicit [`VerifyMode`].
-pub fn tune_workloads_with(
-    ctx: &ExperimentCtx,
-    nets: &[Network],
-    budget: Budget,
-    mode: VerifyMode,
-) -> Vec<TuneOutcome> {
     nets.iter()
-        .map(|net| tune_network_with(ctx, net, budget, mode))
+        .map(|net| tune_network(ctx, net, budget))
         .collect()
 }
 
@@ -577,13 +526,14 @@ pub fn tune_workloads_with(
 /// # Panics
 ///
 /// Panics if `tuned` has fewer entries than the network has CONV
-/// layers.
+/// layers, or if the network has more layers than one program can
+/// address ([`flexflow::isa::MAX_LAYERS`]).
 pub fn tuned_program(net: &Network, d: usize, tuned: Vec<LayerChoice>) -> Program {
     let mut conv_plan = tuned.into_iter();
     let mut choices = Vec::new();
     let mut instrs = Vec::new();
     for (li, layer) in net.layers().iter().enumerate() {
-        let layer_u8 = li as u8;
+        let layer_u8 = u8::try_from(li).expect("the ISA addresses at most 256 layers");
         match layer {
             Layer::Conv(_) => {
                 let choice = conv_plan.next().expect("one tuned choice per CONV layer");
@@ -834,15 +784,8 @@ pub(crate) struct SweepTotals {
 /// Runs the smoke-budget tune sweep and aggregates the recovery totals
 /// `bench history` appends (and `bench check` gates on).
 pub(crate) fn sweep_totals(jobs: usize) -> SweepTotals {
-    sweep_totals_with(jobs, VerifyMode::Engine)
-}
-
-/// [`sweep_totals`] under an explicit [`VerifyMode`] — `bench history`
-/// times both modes so the `--static` wall-time saving is a recorded,
-/// regression-gated number rather than a claim.
-pub(crate) fn sweep_totals_with(jobs: usize, mode: VerifyMode) -> SweepTotals {
     let ctx = ExperimentCtx::parallel("tune", jobs);
-    let outcomes = tune_workloads_with(&ctx, &workloads::all(), Budget::Smoke, mode);
+    let outcomes = tune_workloads(&ctx, &workloads::all(), Budget::Smoke);
     SweepTotals {
         recovered_pe_cycles: outcomes.iter().map(TuneOutcome::recovered_pe_cycles).sum(),
         workloads_improved: outcomes.iter().filter(|o| o.improved()).count(),
@@ -942,36 +885,19 @@ mod tests {
 
     #[test]
     fn static_verification_matches_the_engine_path() {
-        // The --static acceptance bar: symbolic scoring + winner-only
-        // engine verification must pick the same winners and report the
-        // same before/after attribution as the fully-simulated path.
-        let ctx = ExperimentCtx::serial("tune");
-        for net in [workloads::pv(), workloads::lenet5(), workloads::hg()] {
-            let engine = tune_network_with(&ctx, &net, Budget::Smoke, VerifyMode::Engine);
-            let fast = tune_network_with(&ctx, &net, Budget::Smoke, VerifyMode::Static);
-            assert_eq!(engine.layers.len(), fast.layers.len());
-            for (e, s) in engine.layers.iter().zip(&fast.layers) {
-                assert_eq!(e.tuned.unroll, s.tuned.unroll, "{}", e.default.layer);
+        // The tuner keeps every default's ledger symbolic: on every
+        // Table 1 paper-default mapping it must equal the one the
+        // cycle-stepped engine records, cause by cause.
+        for net in workloads::all() {
+            for (layer, (default, _)) in net.conv_layers().zip(paper_defaults(&net)) {
                 assert_eq!(
-                    e.delta.before_cycles, s.delta.before_cycles,
-                    "{}",
-                    e.default.layer
+                    analytic_ledger(layer, default.unroll),
+                    recorded_ledger(layer, default.unroll),
+                    "{}/{}",
+                    net.name(),
+                    layer.name()
                 );
-                assert_eq!(
-                    e.delta.after_cycles, s.delta.after_cycles,
-                    "{}",
-                    e.default.layer
-                );
-                for cause in StallCause::ALL {
-                    assert_eq!(
-                        e.delta.recovered(cause),
-                        s.delta.recovered(cause),
-                        "{}/{cause}",
-                        e.default.layer
-                    );
-                }
             }
-            assert_eq!(engine.program.instrs(), fast.program.instrs());
         }
     }
 

@@ -373,17 +373,27 @@ impl HeatmapBuilder {
         self.uniform[cause.index()] += cycles;
     }
 
-    /// A compute pass of `cap_per_cell` cycles per cell whose `macs`
-    /// useful work ran on the cells covered by `rects` (disjoint,
-    /// in-bounds). Active cells split `macs` via [`distribute`] and
-    /// lose the rest to `cause`; cells outside the rects lose the full
-    /// `cap_per_cell`.
+    /// `repeat` identical compute passes, each of `cap_per_cell` cycles
+    /// per cell whose `macs` useful work ran on the cells covered by
+    /// `rects` (disjoint, in-bounds). Each pass's active cells split its
+    /// `macs` via [`distribute`] and lose the rest to `cause`; cells
+    /// outside the rects lose the full `cap_per_cell`. The result is
+    /// exactly that of `repeat` single passes: one pass's shares are
+    /// split once and multiplied, never the `repeat · macs` total (whose
+    /// remainder would land on different cells).
     ///
     /// # Panics
     ///
     /// Panics when a rect runs out of bounds or `macs` exceeds the
     /// active capacity `cap_per_cell × Σ rect cells`.
-    pub fn pass(&mut self, cause: StallCause, rects: &[CellRect], cap_per_cell: u64, macs: u64) {
+    pub fn pass(
+        &mut self,
+        cause: StallCause,
+        rects: &[CellRect],
+        cap_per_cell: u64,
+        macs: u64,
+        repeat: u64,
+    ) {
         let mut active: Vec<usize> = Vec::new();
         for rect in rects {
             assert!(
@@ -400,11 +410,11 @@ impl HeatmapBuilder {
             macs <= cap_per_cell.saturating_mul(active.len() as u64),
             "pass MACs exceed active capacity"
         );
-        self.uniform[cause.index()] += cap_per_cell;
+        self.uniform[cause.index()] += repeat * cap_per_cell;
         let shares = distribute(macs, active.len());
         for (cell, share) in active.into_iter().zip(shares) {
-            self.busy[cell] += share;
-            self.credit[cell][cause.index()] += share;
+            self.busy[cell] += repeat * share;
+            self.credit[cell][cause.index()] += repeat * share;
         }
     }
 
@@ -598,6 +608,7 @@ mod tests {
             }],
             10,
             14,
+            1,
         );
         let s = b.finish();
         // Busy: 14 MACs split 7/7 over the two active cells.
@@ -622,10 +633,49 @@ mod tests {
     #[test]
     fn uneven_macs_spill_to_lowest_index_cells() {
         let mut b = HeatmapBuilder::new("A", "L", 1, 3, 5);
-        b.pass(StallCause::EdgeFragmentation, &[CellRect::full(1, 3)], 5, 7);
+        b.pass(
+            StallCause::EdgeFragmentation,
+            &[CellRect::full(1, 3)],
+            5,
+            7,
+            1,
+        );
         let s = b.finish();
         assert_eq!(s.busy, vec![3, 2, 2]);
         assert_eq!(s.lost_total(StallCause::EdgeFragmentation), 15 - 7);
+    }
+
+    #[test]
+    fn repeated_pass_equals_that_many_single_passes() {
+        // 7 MACs over 3 cells leave a remainder: repeating the split
+        // shares ([3, 2, 2] × 4) differs from splitting 28 ([10, 9, 9]).
+        let rects = [
+            CellRect::full(1, 3),
+            CellRect {
+                row: 1,
+                col: 1,
+                rows: 1,
+                cols: 1,
+            },
+        ];
+        for repeat in [0u64, 1, 4, 13] {
+            let mut once = HeatmapBuilder::new("A", "L", 2, 3, 5 * repeat);
+            once.pass(StallCause::EdgeFragmentation, &rects, 5, 7, repeat);
+            let mut each = HeatmapBuilder::new("A", "L", 2, 3, 5 * repeat);
+            for _ in 0..repeat {
+                each.pass(StallCause::EdgeFragmentation, &rects, 5, 7, 1);
+            }
+            assert_eq!(once.finish(), each.finish(), "repeat {repeat}");
+        }
+        let mut b = HeatmapBuilder::new("A", "L", 1, 3, 20);
+        b.pass(
+            StallCause::EdgeFragmentation,
+            &[CellRect::full(1, 3)],
+            5,
+            7,
+            4,
+        );
+        assert_eq!(b.finish().busy, vec![12, 8, 8]);
     }
 
     #[test]
@@ -637,6 +687,7 @@ mod tests {
             &[CellRect::full(1, 1)],
             10,
             11,
+            1,
         );
     }
 
@@ -707,6 +758,7 @@ mod tests {
             &[CellRect::full(1, 2)],
             10,
             12,
+            1,
         );
         b.bank_sample("kernel", 64, 32, 10);
         let s = b.finish();

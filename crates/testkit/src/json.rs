@@ -84,6 +84,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -255,6 +256,11 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so hostile input (say 100k `[`) must end in
+/// an error, not a stack overflow; real documents nest a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: what went wrong and the byte offset where.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonParseError {
@@ -275,6 +281,8 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    // Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -332,11 +340,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(self.err(&format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonParseError> {
@@ -620,6 +641,21 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_rejects_nesting_past_the_depth_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nest deeper than 128"), "{err}");
+        // Deep enough to overflow the stack of a recursion without the
+        // limit; objects count toward the same depth.
+        let hostile = "[{\"a\": ".repeat(50_000);
+        let err = Json::parse(&hostile).unwrap_err();
+        assert_eq!(err.offset, 64 * 7);
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

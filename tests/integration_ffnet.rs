@@ -210,12 +210,18 @@ fn all_simulators_reproduce_fixture_layers_bit_exactly() {
 /// Writes `text` to a scratch `.ffnet` file and runs
 /// `flexsim run <file>`, returning (exit code, stderr).
 fn run_cli_on(text: &str, tag: &str) -> (Option<i32>, String) {
+    cli_on("run", text, tag)
+}
+
+/// Writes `text` to a scratch `.ffnet` file and runs
+/// `flexsim <cmd> <file>`, returning (exit code, stderr).
+fn cli_on(cmd: &str, text: &str, tag: &str) -> (Option<i32>, String) {
     let dir = std::env::temp_dir().join(format!("flexsim-ffnet-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join(format!("{tag}.ffnet"));
     std::fs::write(&file, text).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_flexsim"))
-        .args(["run", file.to_str().unwrap()])
+        .args([cmd, file.to_str().unwrap()])
         .output()
         .expect("flexsim runs");
     (
@@ -282,6 +288,44 @@ fn malformed_ffnet_files_produce_actionable_errors_and_exit_2() {
             "{tag}: expected exactly one diagnostic\n{stderr}"
         );
     }
+}
+
+#[test]
+fn deeply_nested_ffnet_exits_2_instead_of_overflowing_the_stack() {
+    // 100k unclosed `[` would overflow the recursive JSON parser's
+    // stack (abort, exit 134); past the nesting limit it is a parse
+    // error.
+    let (code, stderr) = run_cli_on(&"[".repeat(100_000), "deep");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("deep.ffnet:1:129:"), "{stderr}");
+    assert!(stderr.contains("nest deeper than 128 levels"), "{stderr}");
+    assert_eq!(stderr.matches("flexsim: ").count(), 1, "{stderr}");
+}
+
+#[test]
+fn every_subcommand_refuses_a_network_past_the_isa_layer_limit() {
+    // A 300-layer chain: the ISA's 8-bit layer index addresses 256.
+    // Admitted, it would panic the compiler (run, heatmap, prove) or
+    // wrap layer 300 onto layer 44 (tune); every subcommand must refuse
+    // it with the same diagnostic.
+    let nodes: Vec<String> = (0..300)
+        .map(|i| format!(r#"{{"id": "c{i}", "op": "conv", "m": 1, "k": 1}}"#))
+        .collect();
+    let chain = format!(
+        r#"{{"name": "chain", "input": {{"maps": 1, "size": 4}}, "nodes": [{}]}}"#,
+        nodes.join(", ")
+    );
+    let mut verdicts = Vec::new();
+    for cmd in ["run", "heatmap", "prove", "tune", "lint", "profile"] {
+        let (code, stderr) = cli_on(cmd, &chain, "chain300");
+        assert_eq!(code, Some(2), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("chain300.ffnet: 300 layers exceed the 256"),
+            "{cmd}: {stderr}"
+        );
+        verdicts.push(stderr);
+    }
+    assert!(verdicts.windows(2).all(|w| w[0] == w[1]), "{verdicts:?}");
 }
 
 #[test]

@@ -65,7 +65,7 @@ fn stats_sweep_reports_every_phase_and_workers_reconcile() {
     // The flexcheck gate caches verdicts process-wide, so a sweep run
     // by an earlier test may have warmed it; `lint::run` opens the
     // flexcheck phase unconditionally, exactly as `flexsim lint` does.
-    let (_lint, errors) = flexsim_experiments::lint::run();
+    let (_lint, errors) = flexsim_experiments::lint::run(&flexsim_model::workloads::all());
     assert_eq!(errors, 0);
     let snap = telemetry::snapshot();
     telemetry::disable();
